@@ -11,7 +11,6 @@ unbarred part from 1 up to n.  The text form is "4,3,2|3,1,0".
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import HookViolation, NotDominant
@@ -20,11 +19,6 @@ ALPHABET_B = "B"
 ALPHABET_BPLUS = "B+"
 ALPHABET_BMINUS = "B-"
 ALPHABET_BDUAL = "B+dual"
-
-BARRED = "barred"
-UNBARRED = "unbarred"
-BARRED_DUAL = "barred-dual"
-
 
 class Rank(NamedTuple):
     m: int
@@ -89,41 +83,6 @@ def letter_parse(alphabet, text):
     return int(text)
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
-    """A letter as (sort key, kind, index); mainly a parsing convenience."""
-
-    code: int
-    kind: str
-
-    @staticmethod
-    def barred(i):
-        return Letter(-i, BARRED)
-
-    @staticmethod
-    def unbarred(j):
-        return Letter(j, UNBARRED)
-
-    @staticmethod
-    def barred_dual(i):
-        return Letter(i, BARRED_DUAL)
-
-    @property
-    def index(self):
-        return abs(self.code)
-
-    @property
-    def parity(self):
-        return 1 if self.kind == UNBARRED else 0
-
-    def __str__(self):
-        if self.kind == BARRED:
-            return "b%d" % self.index
-        if self.kind == BARRED_DUAL:
-            return "d%d" % self.index
-        return "%d" % self.index
-
-
 # ---------------------------------------------------------------------------
 # weights
 
@@ -186,10 +145,6 @@ class Weight:
         """Pairing with the coroot of color k."""
         sign = 1 if k <= 0 else -1
         return sign * simple_root(self.rank, k).bilinear(self)
-
-    @property
-    def parity(self):
-        return sum(self.coords[self.rank.m:]) % 2
 
     def is_dominant(self):
         m = self.rank.m
@@ -273,11 +228,6 @@ def two_rho(rank):
         for j in range(1, n + 1):
             total = total.sub(eps_barred(rank, i).sub(eps_unbarred(rank, j)))
     return total
-
-
-def rho_weyl(rank):
-    coords = tuple(Fraction(c, 2) for c in two_rho(rank).coords)
-    return coords
 
 
 def is_typical(lam):

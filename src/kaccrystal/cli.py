@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 vertex cap exceeded, 4 element outside the embedding image.
+3 vertex cap exceeded (for verify: some instance skipped, none failed),
+4 element outside the embedding image.
 """
 
 import argparse
@@ -66,27 +67,16 @@ def cmd_verify(args):
         box = (lo, hi)
     reports, ok = verify.run_sweep(ranks=ranks, box=box, cap=args.cap, threads=threads)
     _write_out(verify.report_to_json(reports) + "\n", args.out)
-    return 0 if ok else 1
+    if not ok:
+        return 1
+    return 3 if any("skipped" in r for r in reports) else 0
 
 
 def cmd_embed(args):
     rank = _parse_rank(args.rank)
     data = json.loads(_read_in(args.input))
     if args.inverse:
-        elem = kac.KacElement(
-            rank,
-            kac.OddRootSet.of(
-                rank,
-                [
-                    (i + 1, j + 1)
-                    for i, row in enumerate(data["S"])
-                    for j, bit in enumerate(row)
-                    if bit
-                ],
-            ),
-            tableaux.Tableau.from_json(data["Tplus"]),
-            tableaux.Tableau.from_json(data["Tminus"]),
-        )
+        elem = kac.KacElement.from_json(rank, data)
         t = embedding.pi_bar(rank, elem)
         if t is None:
             sys.stderr.write("element is outside the embedding image\n")

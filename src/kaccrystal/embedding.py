@@ -10,7 +10,7 @@ filling is not semistandard.
 
 import functools
 
-from . import base, kac, rsk, tableaux, wordops
+from . import base, kac, rsk, tableaux
 from .errors import (
     HookViolation,
     InsertionOverflow,
@@ -150,45 +150,6 @@ def sigma_from_dual(rank, ell, t):
     shape = base.normalize_partition(t.inner)
     ta, tb, _, back = _sigma_pair(rank, ell, shape)
     return ta.elements[back[tb.index[t.rows]]]
-
-
-@functools.lru_cache(maxsize=None)
-def _straight_pair(alphabet, rank, shape_a, shape_b):
-    ta = kac.factor_table(alphabet, rank, shape_a)
-    tb = kac.factor_table(alphabet, rank, shape_b)
-    fwd, back = transport_iso(ta, tb)
-    return ta, tb, fwd, back
-
-
-def tau_shift(rank, k, t):
-    """Column shift on unbarred tableaux: every column height changes by k."""
-    us = base.conjugate(t.outer)
-    us = tuple(us) + (0,) * (rank.n - len(us))
-    target = base.conjugate(tuple(u + k for u in us))
-    ta, tb, fwd, _ = _straight_pair(
-        base.ALPHABET_BMINUS, rank, base.normalize_partition(t.outer), target
-    )
-    return tb.elements[fwd[ta.index[t.rows]]]
-
-
-def sigma_shift(rank, k, t):
-    """Row shift on barred tableaux: every row length changes by k."""
-    shape = base.normalize_partition(t.outer)
-    target = tuple(p + k for p in (shape + (0,) * (rank.m - len(shape))))
-    ta, tb, fwd, _ = _straight_pair(
-        base.ALPHABET_BPLUS, rank, shape, base.normalize_partition(target)
-    )
-    return tb.elements[fwd[ta.index[t.rows]]]
-
-
-def varsigma_shift(rank, k, elem):
-    """Simultaneous shift of both tableau factors of a Kac element."""
-    return kac.KacElement(
-        elem.rank,
-        elem.s,
-        sigma_shift(rank, k, elem.t_plus),
-        tau_shift(rank, k, elem.t_minus),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,12 @@ class PreconditionViolated(KacCrystalError):
 
 
 class InsertionOverflow(KacCrystalError):
-    """Column bumping exited the bounding rectangle."""
+    """Bumping exited the bounding rectangle, or a cell edit left the inner
+    boundary of a tableau."""
+
+
+class MalformedElement(KacCrystalError):
+    """Serialized Kac crystal element fails validation; names the field."""
 
 
 class SizeCapExceeded(KacCrystalError):

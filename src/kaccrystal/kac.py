@@ -12,12 +12,11 @@ import functools
 from dataclasses import dataclass
 
 from . import base, tableaux, wordops
-from .errors import NotDominant, SizeCapExceeded
+from .errors import MalformedElement, NotDominant, SizeCapExceeded
 
 # orders on the odd negative roots, as sort keys on the pairs (i, j)
 PREC = "prec"          # by j, then by i
 PREC_PRIME = "prec1"   # by i, then by descending j
-PREC_DPRIME = "prec2"  # by i, then by j
 
 
 def root_sort_key(order):
@@ -25,8 +24,6 @@ def root_sort_key(order):
         return lambda p: (p[1], p[0])
     if order == PREC_PRIME:
         return lambda p: (p[0], -p[1])
-    if order == PREC_DPRIME:
-        return lambda p: (p[0], p[1])
     raise ValueError("unknown root order %r" % (order,))
 
 
@@ -146,42 +143,98 @@ class KacElement:
             "Tminus": self.t_minus.to_json(),
         }
 
+    @staticmethod
+    def from_json(rank, data):
+        """Parse and validate the form written by to_json.
+
+        S must be m rows of n 0/1 entries; Tplus and Tminus must be straight
+        semistandard tableaux over B+ and B-.  Raises MalformedElement
+        naming the offending field.
+        """
+        if not isinstance(data, dict):
+            raise MalformedElement("element must be a JSON object")
+        bits = data.get("S")
+        if not (
+            isinstance(bits, list)
+            and len(bits) == rank.m
+            and all(
+                isinstance(row, list)
+                and len(row) == rank.n
+                and all(b in (0, 1) for b in row)
+                for row in bits
+            )
+        ):
+            raise MalformedElement("S must be %d rows of %d 0/1 entries" % rank)
+        s = OddRootSet.of(
+            rank,
+            [(i + 1, j + 1) for i, row in enumerate(bits) for j, b in enumerate(row) if b],
+        )
+        t_plus = _factor_from_json(rank, data, "Tplus", base.ALPHABET_BPLUS)
+        t_minus = _factor_from_json(rank, data, "Tminus", base.ALPHABET_BMINUS)
+        return KacElement(rank, s, t_plus, t_minus)
+
+
+def _factor_from_json(rank, data, field, alphabet):
+    try:
+        t = tableaux.Tableau.from_json(data[field])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedElement("%s: %r" % (field, exc))
+    letters = base.alphabet_letters(alphabet, rank)
+    if t.alphabet != alphabet:
+        raise MalformedElement("%s must use alphabet %s" % (field, alphabet))
+    if any(t.inner) or not t.is_semistandard():
+        raise MalformedElement("%s is not a straight semistandard tableau" % field)
+    if any(v not in letters for row in t.rows for v in row):
+        raise MalformedElement("%s has a letter outside rank %d,%d" % ((field,) + rank))
+    return t
+
 
 def apply_kac(k, direction, elem):
-    """Colored operator on a Kac crystal element; None when null."""
+    """Colored operator on a Kac crystal element; None when null.
+
+    The factors are [S, T+, T-].  Color 0 acts on S; any other color pairs S
+    with T+ (barred) or T- (unbarred) by the two-factor tensor rule.
+    """
     rank = elem.rank
-    if k == 0:
-        s = elem.s.apply(0, direction)
-        if s is None:
-            return None
-        return KacElement(rank, s, elem.t_plus, elem.t_minus)
-    if k < 0:
+    factors = [elem.s, elem.t_plus, elem.t_minus]
+    slot = 0
+    if k != 0:
+        other = 1 if k < 0 else 2
         eps1, phi1 = elem.s.eps_phi(k)
-        eps2, phi2 = wordops.tableau_eps_phi(rank, k, elem.t_plus)
-        if wordops.tensor_select(k, direction, eps1, phi1, eps2, phi2) == 1:
-            s = elem.s.apply(k, direction)
-            if s is None:
-                return None
-            return KacElement(rank, s, elem.t_plus, elem.t_minus)
-        t = wordops.tableau_apply(rank, k, direction, elem.t_plus)
-        if t is None:
-            return None
-        return KacElement(rank, elem.s, t, elem.t_minus)
-    eps1, phi1 = elem.s.eps_phi(k)
-    eps2, phi2 = wordops.tableau_eps_phi(rank, k, elem.t_minus)
-    if wordops.tensor_select(k, direction, eps1, phi1, eps2, phi2) == 1:
-        s = elem.s.apply(k, direction)
-        if s is None:
-            return None
-        return KacElement(rank, s, elem.t_plus, elem.t_minus)
-    t = wordops.tableau_apply(rank, k, direction, elem.t_minus)
-    if t is None:
+        eps2, phi2 = wordops.tableau_eps_phi(rank, k, factors[other])
+        if wordops.tensor_select(k, direction, eps1, phi1, eps2, phi2) == 2:
+            slot = other
+    if slot == 0:
+        new = elem.s.apply(k, direction)
+    else:
+        new = wordops.tableau_apply(rank, k, direction, factors[slot])
+    if new is None:
         return None
-    return KacElement(rank, elem.s, elem.t_plus, t)
+    factors[slot] = new
+    return KacElement(rank, *factors)
 
 
 # ---------------------------------------------------------------------------
 # component tables for fast graph assembly
+
+
+def _operator_arrays(colors, items, eps_phi, apply, index):
+    """Per-color arrays (e, f, eps, phi): e/f hold the index of the
+    raised/lowered item (None when null), eps/phi the string lengths."""
+    e, f, eps, phi = {}, {}, {}, {}
+    for k in colors:
+        ek, fk, epsk, phik = [], [], [], []
+        for x in items:
+            epsv, phiv = eps_phi(k, x)
+            epsk.append(epsv)
+            phik.append(phiv)
+            up = apply(k, wordops.RAISE, x)
+            ek.append(None if up is None else index(up))
+            dn = apply(k, wordops.LOWER, x)
+            fk.append(None if dn is None else index(dn))
+        e[k], f[k] = ek, fk
+        eps[k], phi[k] = epsk, phik
+    return e, f, eps, phi
 
 
 class FactorTable:
@@ -196,22 +249,13 @@ class FactorTable:
         self.index = {t.rows: i for i, t in enumerate(elems)}
         self.weights = [t.weight(rank).coords for t in elems]
         self.colors = base.alphabet_colors(alphabet, rank)
-        self.e = {}
-        self.f = {}
-        self.eps = {}
-        self.phi = {}
-        for k in self.colors:
-            ek, fk, epsk, phik = [], [], [], []
-            for t in elems:
-                epsv, phiv = wordops.tableau_eps_phi(rank, k, t)
-                epsk.append(epsv)
-                phik.append(phiv)
-                up = wordops.tableau_apply(rank, k, wordops.RAISE, t)
-                ek.append(None if up is None else self.index[up.rows])
-                dn = wordops.tableau_apply(rank, k, wordops.LOWER, t)
-                fk.append(None if dn is None else self.index[dn.rows])
-            self.e[k], self.f[k] = ek, fk
-            self.eps[k], self.phi[k] = epsk, phik
+        self.e, self.f, self.eps, self.phi = _operator_arrays(
+            self.colors,
+            elems,
+            lambda k, t: wordops.tableau_eps_phi(rank, k, t),
+            lambda k, d, t: wordops.tableau_apply(rank, k, d, t),
+            lambda t: self.index[t.rows],
+        )
 
     def sources(self):
         ks = self.colors
@@ -235,22 +279,13 @@ class OddTable:
         size = 1 << (rank.m * rank.n)
         self.sets = [OddRootSet.from_mask(rank, mask) for mask in range(size)]
         self.weights = [s.weight().coords for s in self.sets]
-        self.e = {}
-        self.f = {}
-        self.eps = {}
-        self.phi = {}
-        for k in base.colors(rank):
-            ek, fk, epsk, phik = [], [], [], []
-            for s in self.sets:
-                epsv, phiv = s.eps_phi(k)
-                epsk.append(epsv)
-                phik.append(phiv)
-                up = s.apply(k, wordops.RAISE)
-                ek.append(None if up is None else up.mask())
-                dn = s.apply(k, wordops.LOWER)
-                fk.append(None if dn is None else dn.mask())
-            self.e[k], self.f[k] = ek, fk
-            self.eps[k], self.phi[k] = epsk, phik
+        self.e, self.f, self.eps, self.phi = _operator_arrays(
+            base.colors(rank),
+            self.sets,
+            lambda k, s: s.eps_phi(k),
+            lambda k, d, s: s.apply(k, d),
+            OddRootSet.mask,
+        )
 
 
 @functools.lru_cache(maxsize=None)

@@ -80,16 +80,10 @@ def rho(elem):
         raise KacCrystalError("insertion map needs a barred-dual first factor")
     mu = elem.t_plus.inner + (0,) * (rank.m - len(elem.t_plus.inner))
     p = elem.t_plus
-    records = []
+    q = tableaux.empty_tableau(base.ALPHABET_BMINUS, mu, p.inner, antinormal=True)
     for i, j in reversed(elem.s.sorted(kac.PREC)):
         p, cell = tableaux.antinormal_insert(p, i)
-        records.append((cell, j))
-    eta = p.inner + (0,) * (rank.m - len(p.inner))
-    grid = {cell: j for cell, j in records}
-    rows = []
-    for r in range(1, rank.m + 1):
-        rows.append(tuple(grid[(r, c)] for c in range(eta[r - 1] + 1, mu[r - 1] + 1)))
-    q = tableaux.Tableau(base.ALPHABET_BMINUS, mu, p.inner, tuple(rows), True)
+        q = q.with_cell(*cell, j)
     if not q.is_semistandard():
         raise InsertionOverflow("recording tableau is not semistandard")
     return KappaElement(rank, p, q, elem.t_minus)
@@ -116,27 +110,11 @@ def rho_inverse(kelem):
         c = -negc
         p, code = tableaux.antinormal_delete(p, (r, c))
         pairs.append((code, val))
-        q = _drop_top(q, r, c)
+        q = q.with_cell(r, c)
     roots = kac.OddRootSet.of(rank, pairs)
     if len(roots.roots) != len(pairs):
         raise KacCrystalError("recording data does not define a root set")
     return kac.KacElement(rank, roots, p, kelem.v)
-
-
-def _drop_top(q, r, c):
-    grid = {rc: q.cell(*rc) for rc in q.cells()}
-    del grid[(r, c)]
-    inner = list(q.inner) + [0] * (q.nrows - len(q.inner))
-    if inner[r - 1] != c - 1:
-        raise KacCrystalError("cell (%d, %d) is not removable" % (r, c))
-    inner[r - 1] = c
-    rows = []
-    for i in range(1, q.nrows + 1):
-        rows.append(tuple(grid[(i, cc)] for cc in range(inner[i - 1] + 1, q.outer[i - 1] + 1)))
-    inner_t = tuple(inner)
-    while inner_t and inner_t[-1] == 0:
-        inner_t = inner_t[:-1]
-    return tableaux.Tableau(q.alphabet, q.outer, inner_t, tuple(rows), q.antinormal)
 
 
 # ---------------------------------------------------------------------------
@@ -169,61 +147,15 @@ def _zero_scan(kelem):
     return None, None
 
 
-def _add_zero(kelem, c):
-    rank = kelem.rank
-    p, q = kelem.p, kelem.q
-    inner = list(p.inner) + [0] * (rank.m - len(p.inner))
-    top = sum(1 for x in inner if x >= c)
-    if top == 0 or inner[top - 1] != c:
-        raise InsertionOverflow("color 0 addition breaks the inner shape")
-    new_p = _with_cell_added(p, top, c, 1)
-    new_q = _with_cell_added(q, top, c, 1)
-    return KappaElement(rank, new_p, new_q, kelem.v)
-
-
-def _remove_zero(kelem, c):
-    rank = kelem.rank
-    p, q = kelem.p, kelem.q
-    pcol = p.column(c)
-    r = pcol[0][0]
-    new_p = _with_cell_removed(p, r, c)
-    new_q = _with_cell_removed(q, r, c)
-    return KappaElement(rank, new_p, new_q, kelem.v)
-
-
-def _with_cell_added(t, r, c, code):
-    grid = {rc: t.cell(*rc) for rc in t.cells()}
-    grid[(r, c)] = code
-    inner = list(t.inner) + [0] * (t.nrows - len(t.inner))
-    if inner[r - 1] != c:
-        raise InsertionOverflow("cell (%d, %d) is not addable" % (r, c))
-    inner[r - 1] = c - 1
-    return _rebuild(t, inner, grid)
-
-
-def _with_cell_removed(t, r, c):
-    grid = {rc: t.cell(*rc) for rc in t.cells()}
-    del grid[(r, c)]
-    inner = list(t.inner) + [0] * (t.nrows - len(t.inner))
-    if inner[r - 1] != c - 1:
-        raise InsertionOverflow("cell (%d, %d) is not removable" % (r, c))
-    inner[r - 1] = c
-    return _rebuild(t, inner, grid)
-
-
-def _rebuild(t, inner, grid):
-    rows = []
-    for i in range(1, t.nrows + 1):
-        rows.append(
-            tuple(grid[(i, cc)] for cc in range(inner[i - 1] + 1, t.outer[i - 1] + 1))
-        )
-    inner_t = tuple(inner)
-    while inner_t and inner_t[-1] == 0:
-        inner_t = inner_t[:-1]
-    out = tableaux.Tableau(t.alphabet, t.outer, inner_t, tuple(rows), t.antinormal)
-    if not out.is_semistandard():
+def _zero_edit(kelem, c, code):
+    """Add (code 1) or remove (code None) the top cell pair of column c."""
+    top = sum(1 for x in kelem.p.inner if x >= c)
+    r = top if code is not None else top + 1
+    p = kelem.p.with_cell(r, c, code)
+    q = kelem.q.with_cell(r, c, code)
+    if not (p.is_semistandard() and q.is_semistandard()):
         raise InsertionOverflow("color 0 produced an invalid tableau")
-    return out
+    return KappaElement(kelem.rank, p, q, kelem.v)
 
 
 def apply_kappa(k, direction, kelem):
@@ -232,8 +164,8 @@ def apply_kappa(k, direction, kelem):
     if k == 0:
         sign, c = _zero_scan(kelem)
         if direction == wordops.LOWER:
-            return _add_zero(kelem, c) if sign == "+" else None
-        return _remove_zero(kelem, c) if sign == "-" else None
+            return _zero_edit(kelem, c, 1) if sign == "+" else None
+        return _zero_edit(kelem, c, None) if sign == "-" else None
     if k < 0:
         p = wordops.tableau_apply(rank, k, direction, kelem.p)
         if p is None:

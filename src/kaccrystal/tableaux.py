@@ -60,6 +60,34 @@ class Tableau:
         rows[r - 1] = tuple(row)
         return Tableau(self.alphabet, self.outer, self.inner, tuple(rows), self.antinormal)
 
+    def with_cell(self, r, c, code=None):
+        """Add or remove one cell on the inner boundary.
+
+        With a code, fill the cell (r, c) just outside the inner shape; with
+        code None, empty the inner-corner cell (r, c).  Either cell is the
+        first entry of row r.  Raises InsertionOverflow when (r, c) is not on
+        the boundary.
+        """
+        if not 1 <= r <= self.nrows:
+            raise InsertionOverflow("row %d is outside the tableau" % r)
+        inner = list(self.inner) + [0] * (self.nrows - len(self.inner))
+        above = inner[r - 2] if r > 1 else self.outer[0]
+        below = inner[r] if r < self.nrows else 0
+        rows = list(self.rows)
+        if code is None:
+            if inner[r - 1] != c - 1 or c > self.outer[r - 1] or above < c:
+                raise InsertionOverflow("cell (%d, %d) is not an inner corner" % (r, c))
+            inner[r - 1] = c
+            rows[r - 1] = rows[r - 1][1:]
+        else:
+            if c < 1 or inner[r - 1] != c or below >= c:
+                raise InsertionOverflow("cell (%d, %d) is not addable" % (r, c))
+            inner[r - 1] = c - 1
+            rows[r - 1] = (code,) + rows[r - 1]
+        while inner and inner[-1] == 0:
+            inner.pop()
+        return Tableau(self.alphabet, self.outer, tuple(inner), tuple(rows), self.antinormal)
+
     def column(self, c):
         """(row, value) pairs of column c, top to bottom."""
         out = []
@@ -132,26 +160,6 @@ def empty_tableau(alphabet, outer, inner=None, antinormal=False):
     return Tableau(alphabet, outer, inner, ((),) * len(outer), antinormal)
 
 
-def highest_barred(rank, mu):
-    """Source of the barred-letter crystal on a straight shape: row i is
-    filled with the (m - i + 1)-th barred letter."""
-    mu = base.normalize_partition(mu)
-    rows = tuple(
-        (-(rank.m - i),) * mu[i] for i in range(len(mu))
-    )
-    return Tableau(base.ALPHABET_BPLUS, mu, (), rows)
-
-
-def highest_unbarred(rank, nu):
-    """Source of the unbarred-letter crystal on a straight shape: column j is
-    filled with the letter j."""
-    nu = base.normalize_partition(nu)
-    rows = tuple(
-        tuple(range(1, nu[i] + 1)) for i in range(len(nu))
-    )
-    return Tableau(base.ALPHABET_BMINUS, nu, (), rows)
-
-
 def enumerate_sst(alphabet, rank, outer, inner=()):
     """All semistandard fillings of outer/inner, by brute cell-by-cell fill."""
     outer = tuple(outer)
@@ -191,10 +199,6 @@ def enumerate_sst(alphabet, rank, outer, inner=()):
     return results
 
 
-def count_sst(alphabet, rank, outer, inner=()):
-    return len(enumerate_sst(alphabet, rank, outer, inner))
-
-
 # ---------------------------------------------------------------------------
 # reading words
 
@@ -230,60 +234,6 @@ def reading_word(t, order=READ_BY_COLUMNS):
 # ---------------------------------------------------------------------------
 # insertion
 
-def column_insert(t, code):
-    """Column insertion into a straight-shape tableau.
-
-    An even letter bumps the smallest entry >= it, an odd letter the smallest
-    entry strictly greater; the bumped entry moves one column right.
-    Returns (tableau, created_cell).
-    """
-    if t.inner and any(t.inner):
-        raise KacCrystalError("column insertion requires a straight shape")
-    alphabet = t.alphabet
-    heights = list(base.conjugate(t.outer))
-    grid = {rc: t.cell(*rc) for rc in t.cells()}
-    a = code
-    c = 1
-    while True:
-        height = heights[c - 1] if c - 1 < len(heights) else 0
-        strict = base.letter_parity(alphabet, a) == 1
-        target = None
-        for r in range(1, height + 1):
-            v = grid[(r, c)]
-            if v > a or (v == a and not strict):
-                target = r
-                break
-        if target is None:
-            created = (height + 1, c)
-            grid[created] = a
-            if c - 1 < len(heights):
-                heights[c - 1] += 1
-            else:
-                heights.append(1)
-            break
-        a, grid[(target, c)] = grid[(target, c)], a
-        c += 1
-    if not base.is_partition(tuple(heights)):
-        raise InsertionOverflow("insertion produced an invalid shape")
-    outer = base.conjugate(tuple(heights))
-    rows = tuple(
-        tuple(grid[(r, c)] for c in range(1, outer[r - 1] + 1))
-        for r in range(1, len(outer) + 1)
-    )
-    out = Tableau(alphabet, outer, (), rows)
-    if not out.is_semistandard():
-        raise InsertionOverflow("insertion produced an invalid tableau")
-    return out, created
-
-
-def word_to_tableau(alphabet, word):
-    """Insert a word left to right into an initially empty tableau."""
-    t = Tableau(alphabet, (), (), ())
-    for a in word:
-        t, _ = column_insert(t, a)
-    return t
-
-
 def antinormal_insert(t, code):
     """Bumping insertion into an anti-normal tableau inside its rectangle.
 
@@ -293,33 +243,23 @@ def antinormal_insert(t, code):
     candidate the letter lands on top of that column and a new cell is
     created.  Returns (tableau, created_cell).
     """
-    outer = t.outer
-    if len(set(outer)) > 1:
+    if len(set(t.outer)) > 1:
         raise KacCrystalError("anti-normal insertion requires a rectangle")
-    width = t.ncols
-    height = t.nrows
     a = code
-    grid = {rc: t.cell(*rc) for rc in t.cells()}
-    inner = list(t.inner) + [0] * (height - len(t.inner))
-    for c in range(width, 0, -1):
-        top = sum(1 for x in inner if x >= c)  # row above the column's cells
+    for c in range(t.ncols, 0, -1):
+        top = sum(1 for x in t.inner if x >= c)  # row above the column's cells
         strict = base.letter_parity(t.alphabet, a) == 1
         target = None
-        for r in range(height, top, -1):
-            v = grid[(r, c)]
+        for r in range(t.nrows, top, -1):
+            v = t.cell(r, c)
             if v < a or (v == a and not strict):
                 target = r
                 break
         if target is None:
             if top == 0:
                 raise InsertionOverflow("bumping exited the rectangle")
-            if inner[top - 1] != c:
-                raise InsertionOverflow("created cell breaks the inner shape")
-            grid[(top, c)] = a
-            inner[top - 1] -= 1
-            created = (top, c)
-            return _from_grid(t, tuple(inner), grid), created
-        a, grid[(target, c)] = grid[(target, c)], a
+            return t.with_cell(top, c, a), (top, c)
+        a, t = t.cell(target, c), t.set_cell(target, c, a)
     raise InsertionOverflow("bumping exited the rectangle")
 
 
@@ -328,39 +268,18 @@ def antinormal_delete(t, cell):
 
     Returns (tableau, code) where code is the letter originally inserted.
     """
-    outer = t.outer
-    width = t.ncols
-    height = t.nrows
-    r0, c0 = cell
-    if not t.has_cell(r0, c0):
-        raise KacCrystalError("cell %r is not in the tableau" % (cell,))
-    grid = {rc: t.cell(*rc) for rc in t.cells()}
-    inner = list(t.inner) + [0] * (height - len(t.inner))
-    top = sum(1 for x in inner if x >= c0)
-    if r0 != top + 1:
-        raise KacCrystalError("cell %r is not on top of its column" % (cell,))
-    a = grid.pop((r0, c0))
-    inner[r0 - 1] += 1
-    for c in range(c0 + 1, width + 1):
-        top = sum(1 for x in inner if x >= c)
+    c0 = cell[1]
+    t, a = t.with_cell(*cell), t.cell(*cell)
+    for c in range(c0 + 1, t.ncols + 1):
+        top = sum(1 for x in t.inner if x >= c)
         strict = base.letter_parity(t.alphabet, a) == 1
         target = None
-        for r in range(top + 1, height + 1):
-            v = grid[(r, c)]
+        for r in range(top + 1, t.nrows + 1):
+            v = t.cell(r, c)
             if v > a or (v == a and not strict):
                 target = r
                 break
         if target is None:
             raise KacCrystalError("cannot reverse insertion at %r" % (cell,))
-        a, grid[(target, c)] = grid[(target, c)], a
-    return _from_grid(t, tuple(inner), grid), a
-
-
-def _from_grid(t, inner, grid):
-    rows = []
-    for r in range(1, t.nrows + 1):
-        lo = inner[r - 1] if r - 1 < len(inner) else 0
-        rows.append(tuple(grid[(r, c)] for c in range(lo + 1, t.outer[r - 1] + 1)))
-    while inner and inner[-1] == 0:
-        inner = inner[:-1]
-    return Tableau(t.alphabet, t.outer, tuple(inner), tuple(rows), t.antinormal)
+        a, t = t.cell(target, c), t.set_cell(target, c, a)
+    return t, a

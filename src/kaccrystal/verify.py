@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import base, embedding, kac, rsk, tableaux, wordops
-from .errors import KacCrystalError
+from .errors import KacCrystalError, SizeCapExceeded
 
 DEFAULT_RANKS = ((1, 1), (2, 1), (1, 2), (2, 2), (3, 2))
 DEFAULT_BOX = (-2, 4)
@@ -340,6 +340,14 @@ def check_graph_instance(lam, cap=kac.DEFAULT_CAP):
     return [check_axioms(g), check_connected(g), check_character(g)]
 
 
+def _check_class(lam, cap):
+    """Graph checks of one class, or the message when it is over the cap."""
+    try:
+        return check_graph_instance(lam, cap=cap)
+    except SizeCapExceeded as exc:
+        return str(exc)
+
+
 def _class_key(lam):
     shape_plus, shape_minus, _ = kac._standard_factors(lam)
     return (lam.rank, base.normalize_partition(shape_plus), shape_minus)
@@ -349,7 +357,8 @@ def run_sweep(ranks=DEFAULT_RANKS, box=DEFAULT_BOX, cap=kac.DEFAULT_CAP, threads
     """Graph checks over every dominant weight in the box.
 
     Returns (reports, ok).  Weights sharing a graph up to weight offset are
-    checked once; their reports point at the representative.
+    checked once; their reports point at the representative.  A class over
+    the vertex cap is reported with "skipped" and no checks.
     """
     instances = list(default_instances(ranks, box))
     classes = {}
@@ -369,12 +378,16 @@ def run_sweep(ranks=DEFAULT_RANKS, box=DEFAULT_BOX, cap=kac.DEFAULT_CAP, threads
                 rep_results[key] = results
     else:
         for key in order:
-            rep_results[key] = check_graph_instance(classes[key], cap=cap)
+            rep_results[key] = _check_class(classes[key], cap)
     reports = []
     ok = True
     for lam in instances:
         key = _class_key(lam)
         rep = classes[key]
+        instance = {"rank": [lam.rank.m, lam.rank.n], "lambda": str(lam)}
+        if isinstance(rep_results[key], str):
+            reports.append({"instance": instance, "skipped": rep_results[key], "checks": []})
+            continue
         checks = []
         for res in rep_results[key]:
             counts = dict(res.counts)
@@ -384,19 +397,14 @@ def run_sweep(ranks=DEFAULT_RANKS, box=DEFAULT_BOX, cap=kac.DEFAULT_CAP, threads
                 CheckResult(res.name, res.ok, res.witness, counts, res.ms)
             )
             ok = ok and res.ok
-        reports.append(
-            {
-                "instance": {"rank": [lam.rank.m, lam.rank.n], "lambda": str(lam)},
-                "checks": [c.to_json() for c in checks],
-            }
-        )
+        reports.append({"instance": instance, "checks": [c.to_json() for c in checks]})
     return reports, ok
 
 
 def _sweep_worker(arg):
     (m, n), lam_text, cap = arg
     lam = base.Weight.parse(base.make_rank(m, n), lam_text)
-    return check_graph_instance(lam, cap=cap)
+    return _check_class(lam, cap)
 
 
 def report_to_json(reports):

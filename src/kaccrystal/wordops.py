@@ -120,11 +120,7 @@ def tableau_apply(rank, k, direction, t, order=tableaux.READ_BY_COLUMNS):
 
 
 def tableau_eps_phi(rank, k, t, order=tableaux.READ_BY_COLUMNS):
-    return word_eps_phi(t.alphabet, rank, k, reading_word_cached(t, order))
-
-
-def reading_word_cached(t, order=tableaux.READ_BY_COLUMNS):
-    return tableaux.reading_word(t, order)
+    return word_eps_phi(t.alphabet, rank, k, tableaux.reading_word(t, order))
 
 
 def tensor_select(k, direction, eps1, phi1, eps2, phi2):

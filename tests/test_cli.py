@@ -73,6 +73,20 @@ def test_verify_small_sweep(capsys):
     assert len(reports) == 9
 
 
+def test_verify_reports_over_cap_instances_as_skipped(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code, _, _ = run(
+        ["verify", "--ranks", "2,2", "--box=0,3", "--cap", "100", "--out", str(path)],
+        capsys,
+    )
+    assert code == 3
+    reports = json.loads(path.read_text())
+    skipped = [r for r in reports if "skipped" in r]
+    assert skipped and len(skipped) < len(reports)
+    assert all(r["checks"] == [] and "cap 100" in r["skipped"] for r in skipped)
+    assert all(c["pass"] for r in reports for c in r["checks"])
+
+
 def test_embed_round_trip(tmp_path, capsys, worked_hook_tableau, r33):
     tab_path = tmp_path / "tableau.json"
     tab_path.write_text(json.dumps(worked_hook_tableau.to_json()))
@@ -109,6 +123,34 @@ def test_embed_out_of_image(tmp_path, capsys):
     )
     assert code == 4
     assert "outside" in err
+
+
+def _embed_inverse(tmp_path, capsys, rank, elem):
+    path = tmp_path / "element.json"
+    path.write_text(json.dumps(elem))
+    return run(["embed", "--rank", rank, "--in", str(path), "--inverse"], capsys)
+
+
+def test_embed_inverse_rejects_non_semistandard_factor(tmp_path, capsys):
+    elem = {
+        "S": [[0, 0], [0, 0]],
+        "Tplus": {"alphabet": "B+", "outer": [1, 1], "inner": [], "rows": [["b1"], ["b2"]]},
+        "Tminus": {"alphabet": "B-", "outer": [], "inner": [], "rows": []},
+    }
+    code, _, err = _embed_inverse(tmp_path, capsys, "2,2", elem)
+    assert code == 2
+    assert "Tplus" in err
+
+
+def test_embed_inverse_rejects_ragged_root_bits(tmp_path, capsys):
+    elem = {
+        "S": [[1], [0, 0, 0]],
+        "Tplus": {"alphabet": "B+", "outer": [], "inner": [], "rows": []},
+        "Tminus": {"alphabet": "B-", "outer": [], "inner": [], "rows": []},
+    }
+    code, _, err = _embed_inverse(tmp_path, capsys, "2,2", elem)
+    assert code == 2
+    assert "S must be" in err
 
 
 def test_embed_malformed_json(tmp_path, capsys):

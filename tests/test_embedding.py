@@ -68,24 +68,6 @@ def test_sigma_round_trip_exhaustive(r22):
             assert embedding.sigma_from_dual(r22, 2, dual) == t
 
 
-def test_shift_maps_commute_with_operators(r22):
-    for t in tableaux.enumerate_sst(base.ALPHABET_BPLUS, r22, (2, 1)):
-        shifted = embedding.sigma_shift(r22, 1, t)
-        assert shifted.outer == (3, 2)
-        for direction in (wordops.RAISE, wordops.LOWER):
-            a = wordops.tableau_apply(r22, -1, direction, t)
-            b = wordops.tableau_apply(r22, -1, direction, shifted)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert embedding.sigma_shift(r22, 1, a) == b
-
-
-def test_tau_shift_inverse(r22):
-    for t in tableaux.enumerate_sst(base.ALPHABET_BMINUS, r22, (2, 1)):
-        up = embedding.tau_shift(r22, 1, t)
-        assert embedding.tau_shift(r22, -1, up) == t
-
-
 def test_xi_worked_example(worked_hook_tableau, r33):
     b = embedding.xi(r33, worked_hook_tableau)
     assert sorted(b.s.roots) == [(1, 3), (2, 2), (3, 1)]

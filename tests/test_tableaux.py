@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaccrystal import base, tableaux
+from kaccrystal import base, kac, tableaux
 from kaccrystal.errors import InsertionOverflow, KacCrystalError
 
 
@@ -73,25 +73,26 @@ FROZEN_COUNTS = [
 
 @pytest.mark.parametrize("alphabet,rank,outer,inner,count", FROZEN_COUNTS)
 def test_frozen_sst_counts(alphabet, rank, outer, inner, count):
-    assert tableaux.count_sst(alphabet, base.make_rank(*rank), outer, inner) == count
+    assert len(tableaux.enumerate_sst(alphabet, base.make_rank(*rank), outer, inner)) == count
 
 
 def test_enumerate_sst_normalizes_inner(r22):
-    with_zeros = tableaux.count_sst(base.ALPHABET_BPLUS, r22, (2, 1), (0, 0))
+    with_zeros = len(tableaux.enumerate_sst(base.ALPHABET_BPLUS, r22, (2, 1), (0, 0)))
     assert with_zeros == 2
 
 
 def test_highest_barred(r33):
-    t = tableaux.highest_barred(r33, (4, 3, 2))
-    assert t.rows == ((-3,) * 4, (-2,) * 3, (-1,) * 2)
-    assert t.is_semistandard()
+    # the unique source fills row i with the (m - i + 1)-th barred letter
+    table = kac.factor_table(base.ALPHABET_BPLUS, r33, (4, 3, 2))
+    sources = [table.elements[i].rows for i in table.sources()]
+    assert sources == [((-3,) * 4, (-2,) * 3, (-1,) * 2)]
 
 
 def test_highest_unbarred(r33):
-    # column j filled with letter j keeps odd rows strict
-    t = tableaux.highest_unbarred(r33, (3, 1))
-    assert t.rows == ((1, 2, 3), (1,))
-    assert t.is_semistandard()
+    # the unique source fills column j with the letter j
+    table = kac.factor_table(base.ALPHABET_BMINUS, r33, (3, 1))
+    sources = [table.elements[i].rows for i in table.sources()]
+    assert sources == [((1, 2, 3), (1,))]
 
 
 def test_reading_orders_visit_all_cells(worked_kac_element):
@@ -114,19 +115,6 @@ def test_reading_order_admissibility(worked_kac_element):
                 assert pos[(r, c)] < pos[(r + 1, c)]
             if t.has_cell(r, c - 1):
                 assert pos[(r, c)] < pos[(r, c - 1)]
-
-
-def test_column_insert_even_bump(r22):
-    t = tableaux.make_tableau(base.ALPHABET_BPLUS, (1,), [[-1]])
-    out, cell = tableaux.column_insert(t, -2)
-    # b2 bumps the smallest entry >= it (b1 bumps to column 2)
-    assert out.rows == ((-2, -1),) and cell == (1, 2)
-
-
-def test_word_to_tableau_is_semistandard(r22):
-    t = tableaux.word_to_tableau(base.ALPHABET_BMINUS, [2, 1, 2, 1])
-    assert t.is_semistandard()
-    assert sorted(v for _, v in ((rc, t.cell(*rc)) for rc in t.cells())) == [1, 1, 2, 2]
 
 
 def _antinormal_states(rank, width, height, alphabet):
@@ -161,6 +149,36 @@ def test_antinormal_insert_delete_round_trip_exhaustive(r22):
             assert out.size() == t.size() + 1
             back, popped = tableaux.antinormal_delete(out, cell)
             assert back == t and popped == code
+
+
+def test_with_cell_round_trip_on_the_boundary(r22):
+    for t in _antinormal_states(r22, 2, 2, base.ALPHABET_BDUAL):
+        inner = list(t.inner) + [0] * (t.nrows - len(t.inner))
+        for r in range(1, t.nrows + 1):
+            for c in range(1, t.ncols + 1):
+                below = inner[r] if r < t.nrows else 0
+                above = inner[r - 2] if r > 1 else t.ncols
+                if inner[r - 1] == c and below < c:
+                    added = t.with_cell(r, c, 2)
+                    assert added.cell(r, c) == 2 and added.size() == t.size() + 1
+                    assert added.with_cell(r, c) == t
+                else:
+                    with pytest.raises(InsertionOverflow):
+                        t.with_cell(r, c, 2)
+                if inner[r - 1] == c - 1 and above >= c:
+                    removed = t.with_cell(r, c)
+                    assert removed.size() == t.size() - 1
+                    assert removed.with_cell(r, c, t.cell(r, c)) == t
+                else:
+                    with pytest.raises(InsertionOverflow):
+                        t.with_cell(r, c)
+
+
+def test_antinormal_delete_rejects_a_cell_off_the_inner_corner():
+    # (2, 2) tops its column but (2, 1) is still filled to its left
+    t = tableaux.Tableau(base.ALPHABET_BDUAL, (3, 3), (2,), ((1,), (1, 1, 2)), True)
+    with pytest.raises(KacCrystalError):
+        tableaux.antinormal_delete(t, (2, 2))
 
 
 def test_antinormal_insert_overflow(r22):
