@@ -58,12 +58,13 @@ def cmd_verify(args):
         threads = int(os.environ.get("KAC_CRYSTAL_THREADS", "1"))
     ranks = verify.DEFAULT_RANKS
     if args.ranks:
-        ranks = tuple(
-            tuple(int(x) for x in part.split(",")) for part in args.ranks.split(";")
-        )
+        ranks = tuple(_parse_rank(part) for part in args.ranks.split(";"))
     box = verify.DEFAULT_BOX
     if args.box:
-        lo, hi = (int(x) for x in args.box.split(","))
+        try:
+            lo, hi = (int(x) for x in args.box.split(","))
+        except ValueError as exc:
+            raise SystemExit2("bad box %r: %s" % (args.box, exc))
         box = (lo, hi)
     reports, ok = verify.run_sweep(ranks=ranks, box=box, cap=args.cap, threads=threads)
     _write_out(verify.report_to_json(reports) + "\n", args.out)
@@ -83,7 +84,7 @@ def cmd_embed(args):
             return 4
         _write_out(json.dumps(t.to_json(), indent=2) + "\n", args.out)
         return 0
-    t = tableaux.Tableau.from_json(data)
+    t = tableaux.parse_straight(rank, data, base.ALPHABET_B, "tableau")
     b = embedding.xi(rank, t)
     out = b.to_json()
     out["lambda"] = str(base.hook_weight(rank, t.outer))

@@ -27,7 +27,8 @@ class InsertionOverflow(KacCrystalError):
 
 
 class MalformedElement(KacCrystalError):
-    """Serialized Kac crystal element fails validation; names the field."""
+    """Serialized Kac crystal element or tableau fails validation; names the
+    field."""
 
 
 class SizeCapExceeded(KacCrystalError):

@@ -169,24 +169,13 @@ class KacElement:
             rank,
             [(i + 1, j + 1) for i, row in enumerate(bits) for j, b in enumerate(row) if b],
         )
-        t_plus = _factor_from_json(rank, data, "Tplus", base.ALPHABET_BPLUS)
-        t_minus = _factor_from_json(rank, data, "Tminus", base.ALPHABET_BMINUS)
+        t_plus = tableaux.parse_straight(
+            rank, data.get("Tplus"), base.ALPHABET_BPLUS, "Tplus"
+        )
+        t_minus = tableaux.parse_straight(
+            rank, data.get("Tminus"), base.ALPHABET_BMINUS, "Tminus"
+        )
         return KacElement(rank, s, t_plus, t_minus)
-
-
-def _factor_from_json(rank, data, field, alphabet):
-    try:
-        t = tableaux.Tableau.from_json(data[field])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedElement("%s: %r" % (field, exc))
-    letters = base.alphabet_letters(alphabet, rank)
-    if t.alphabet != alphabet:
-        raise MalformedElement("%s must use alphabet %s" % (field, alphabet))
-    if any(t.inner) or not t.is_semistandard():
-        raise MalformedElement("%s is not a straight semistandard tableau" % field)
-    if any(v not in letters for row in t.rows for v in row):
-        raise MalformedElement("%s has a letter outside rank %d,%d" % ((field,) + rank))
-    return t
 
 
 def apply_kac(k, direction, elem):
@@ -346,7 +335,14 @@ def _dual_factors(lam, ell):
 
 
 class CrystalGraph:
-    """Edge-colored graph of a Kac crystal, generated breadth first."""
+    """Edge-colored graph of a Kac crystal on the product of its factors.
+
+    Vertex (s, p, v), with s the root-set mask and p, v the indices of T+
+    and T- in their tables, has id (s*|T+| + p)*|T-| + v, so vertex ids
+    follow product order.  Every vertex of the product is in the graph;
+    edges are found by lowering each vertex at each color, which lists
+    them sorted by (source, color).
+    """
 
     def __init__(self, rank, lam, model, s_table, plus_table, minus_table, offset):
         self.rank = rank
@@ -356,12 +352,32 @@ class CrystalGraph:
         self.plus_table = plus_table
         self.minus_table = minus_table
         self.offset = offset
-        self.vertices = []
-        self.index = {}
+        self._nplus = len(plus_table.elements)
+        self._nminus = len(minus_table.elements)
+        self.vertices = range(len(s_table.sets) * self._nplus * self._nminus)
+        ks = base.colors(rank)
+        off = offset.coords
+        self._weights = []
         self.edges = []
+        vid = 0
+        for ws in s_table.weights:
+            for wp in plus_table.weights:
+                wsp = tuple(a + b + c for a, b, c in zip(ws, wp, off))
+                for wv in minus_table.weights:
+                    self._weights.append(tuple(a + b for a, b in zip(wsp, wv)))
+                    for k in ks:
+                        dst = self.step(vid, k, wordops.LOWER)
+                        if dst is not None:
+                            self.edges.append((vid, k, dst))
+                    vid += 1
+
+    def _triple(self, vid):
+        sp, vi = divmod(vid, self._nminus)
+        si, pi = divmod(sp, self._nplus)
+        return si, pi, vi
 
     def element(self, vid):
-        si, pi, vi = self.vertices[vid]
+        si, pi, vi = self._triple(vid)
         return KacElement(
             self.rank,
             self.s_table.sets[si],
@@ -370,80 +386,35 @@ class CrystalGraph:
         )
 
     def weight_coords(self, vid):
-        si, pi, vi = self.vertices[vid]
-        off = self.offset.coords
-        ws = self.s_table.weights[si]
-        wp = self.plus_table.weights[pi]
-        wv = self.minus_table.weights[vi]
-        return tuple(a + b + c + d for a, b, c, d in zip(ws, wp, wv, off))
+        return self._weights[vid]
 
     def weight(self, vid):
         return base.Weight(self.rank, self.weight_coords(vid))
 
     def step(self, vid, k, direction):
-        """Table-driven operator application; returns a vertex id or None."""
-        triple = self._step_triple(self.vertices[vid], k, direction)
-        return None if triple is None else self.index.get(triple)
+        """Table-driven operator application; returns a vertex id or None.
 
-    def _step_triple(self, triple, k, direction):
-        si, pi, vi = triple
-        st, pt, vt = self.s_table, self.plus_table, self.minus_table
-        if k == 0:
-            s2 = st.e[0][si] if direction == wordops.RAISE else st.f[0][si]
-            return None if s2 is None else (s2, pi, vi)
-        if k < 0:
-            sel = wordops.tensor_select(
-                k, direction, st.eps[k][si], st.phi[k][si], pt.eps[k][pi], pt.phi[k][pi]
+        Color 0 moves S.  Any other color pairs S with T+ (k < 0) or T-
+        (k > 0) by the tensor rule and moves the selected factor.
+        """
+        si, pi, vi = self._triple(vid)
+        table, idx, stride = self.s_table, si, self._nplus * self._nminus
+        if k != 0:
+            other, oidx, ostride = (
+                (self.plus_table, pi, self._nminus) if k < 0 else (self.minus_table, vi, 1)
             )
-            if sel == 1:
-                s2 = st.e[k][si] if direction == wordops.RAISE else st.f[k][si]
-                return None if s2 is None else (s2, pi, vi)
-            p2 = pt.e[k][pi] if direction == wordops.RAISE else pt.f[k][pi]
-            return None if p2 is None else (si, p2, vi)
-        sel = wordops.tensor_select(
-            k, direction, st.eps[k][si], st.phi[k][si], vt.eps[k][vi], vt.phi[k][vi]
-        )
-        if sel == 1:
-            s2 = st.e[k][si] if direction == wordops.RAISE else st.f[k][si]
-            return None if s2 is None else (s2, pi, vi)
-        v2 = vt.e[k][vi] if direction == wordops.RAISE else vt.f[k][vi]
-        return None if v2 is None else (si, pi, v2)
-
-    def generate(self, start):
-        ks = base.colors(self.rank)
-        self.vertices.append(start)
-        self.index[start] = 0
-        queue = [start]
-        head = 0
-        edge_set = set()
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            cid = self.index[cur]
-            for k in ks:
-                down = self._step_triple(cur, k, wordops.LOWER)
-                if down is not None:
-                    did = self._intern(down, queue)
-                    edge_set.add((cid, k, did))
-                up = self._step_triple(cur, k, wordops.RAISE)
-                if up is not None:
-                    uid = self._intern(up, queue)
-                    edge_set.add((uid, k, cid))
-        self.edges = sorted(edge_set)
-
-    def _intern(self, triple, queue):
-        vid = self.index.get(triple)
-        if vid is None:
-            vid = len(self.vertices)
-            self.vertices.append(triple)
-            self.index[triple] = vid
-            queue.append(triple)
-        return vid
+            if wordops.tensor_select(
+                k, direction, table.eps[k][si], table.phi[k][si],
+                other.eps[k][oidx], other.phi[k][oidx],
+            ) == 2:
+                table, idx, stride = other, oidx, ostride
+        moved = (table.e if direction == wordops.RAISE else table.f)[k][idx]
+        return None if moved is None else vid + (moved - idx) * stride
 
     def source_vertices(self):
         """Vertices killed by every raising operator (no incoming edge)."""
         indeg = set(dst for _, _, dst in self.edges)
-        return [v for v in range(len(self.vertices)) if v not in indeg]
+        return [v for v in self.vertices if v not in indeg]
 
     def to_json(self):
         return {
@@ -452,14 +423,14 @@ class CrystalGraph:
             "model": self.model,
             "vertices": [
                 dict(id=v, wt=str(self.weight(v)), **self.element(v).to_json())
-                for v in range(len(self.vertices))
+                for v in self.vertices
             ],
             "edges": [list(e) for e in self.edges],
         }
 
     def to_dot(self):
         lines = ["digraph crystal {"]
-        for v in range(len(self.vertices)):
+        for v in self.vertices:
             lines.append('  v%d [label="%d", tooltip="%s"];' % (v, v, self.weight(v)))
         for src, k, dst in self.edges:
             lines.append('  v%d -> v%d [label="%d"];' % (src, dst, k))
@@ -471,7 +442,6 @@ def generate_graph(lam, cap=DEFAULT_CAP, model=MODEL_STANDARD, ell=None):
     rank = lam.rank
     if not lam.is_dominant():
         raise NotDominant("%s is not dominant" % lam)
-    st = odd_table(rank)
     if model == MODEL_STANDARD:
         shape_plus, shape_minus, offset = _standard_factors(lam)
         pt = factor_table(base.ALPHABET_BPLUS, rank, shape_plus)
@@ -488,12 +458,4 @@ def generate_graph(lam, cap=DEFAULT_CAP, model=MODEL_STANDARD, ell=None):
     cardinality = (1 << (rank.m * rank.n)) * len(pt.elements) * len(vt.elements)
     if cardinality > cap:
         raise SizeCapExceeded(cardinality, cap)
-    g = CrystalGraph(rank, lam, model, st, pt, vt, offset)
-    start = (0, _unique_source(pt), _unique_source(vt))
-    g.generate(start)
-    return g
-
-
-def _unique_source(table):
-    srcs = table.sources()
-    return srcs[0] if srcs else 0
+    return CrystalGraph(rank, lam, model, odd_table(rank), pt, vt, offset)

@@ -12,7 +12,7 @@ and bumping runs right to left (largest entry at the bottom right).
 from dataclasses import dataclass, field
 
 from . import base
-from .errors import InsertionOverflow, KacCrystalError
+from .errors import InsertionOverflow, KacCrystalError, MalformedElement
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,29 @@ class Tableau:
             rows,
             bool(data.get("antinormal", False)),
         )
+
+
+def parse_straight(rank, data, alphabet, name):
+    """Parse the JSON form of a straight semistandard tableau over alphabet.
+
+    Raises MalformedElement, with name in the message, unless data is such
+    a tableau with every letter in the rank.
+    """
+    if not isinstance(data, dict):
+        raise MalformedElement("%s must be a JSON object" % name)
+    try:
+        t = Tableau.from_json(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedElement("%s: %r" % (name, exc))
+    if t.alphabet != alphabet:
+        raise MalformedElement("%s must use alphabet %s" % (name, alphabet))
+    integral = all(isinstance(x, int) for x in t.outer + t.inner)
+    if not integral or any(t.inner) or not t.is_semistandard():
+        raise MalformedElement("%s is not a straight semistandard tableau" % name)
+    letters = base.alphabet_letters(alphabet, rank)
+    if any(v not in letters for row in t.rows for v in row):
+        raise MalformedElement("%s has a letter outside rank %d,%d" % ((name,) + rank))
+    return t
 
 
 def make_tableau(alphabet, outer, rows, inner=(), antinormal=False):

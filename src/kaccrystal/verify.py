@@ -80,6 +80,13 @@ def check_axioms(g):
                 return CheckResult("axioms", False, "color 0 applied twice at vertex %d" % src)
             if g.step(src, 0, wordops.RAISE) is not None:
                 return CheckResult("axioms", False, "color 0 raised twice at vertex %d" % dst)
+    # edges come from lowering; a raise with no edge into its vertex is unmatched
+    for v in g.vertices:
+        for k in roots:
+            if (v, k) not in indeg and g.step(v, k, wordops.RAISE) is not None:
+                return CheckResult(
+                    "axioms", False, "raising at color %d from vertex %d misses edge" % (k, v)
+                )
     return CheckResult("axioms", True, counts={"vertices": len(g.vertices), "edges": len(g.edges)})
 
 

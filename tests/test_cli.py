@@ -73,6 +73,15 @@ def test_verify_small_sweep(capsys):
     assert len(reports) == 9
 
 
+@pytest.mark.parametrize(
+    "option,message", [("--ranks=1", "bad rank '1'"), ("--box=0", "bad box '0'")]
+)
+def test_verify_rejects_malformed_ranks_and_box(capsys, option, message):
+    code, out, err = run(["verify", option], capsys)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_reports_over_cap_instances_as_skipped(tmp_path, capsys):
     path = tmp_path / "r.json"
     code, _, _ = run(
@@ -151,6 +160,29 @@ def test_embed_inverse_rejects_ragged_root_bits(tmp_path, capsys):
     code, _, err = _embed_inverse(tmp_path, capsys, "2,2", elem)
     assert code == 2
     assert "S must be" in err
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        (None, "tableau must be a JSON object"),
+        ([1], "tableau must be a JSON object"),
+        (
+            {"alphabet": "B", "outer": [1], "inner": [], "rows": [["b5"]]},
+            "tableau has a letter outside rank 2,2",
+        ),
+        (
+            {"alphabet": "B", "outer": [1.0], "inner": [], "rows": [["b1"]]},
+            "tableau is not a straight semistandard tableau",
+        ),
+    ],
+)
+def test_embed_rejects_malformed_tableau(tmp_path, capsys, data, message):
+    path = tmp_path / "tableau.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(["embed", "--rank", "2,2", "--in", str(path)], capsys)
+    assert code == 2
+    assert message in err
 
 
 def test_embed_malformed_json(tmp_path, capsys):

@@ -99,10 +99,28 @@ def test_generate_graph_counts(r22):
 
 def test_generate_graph_deterministic_json(r22):
     lam = base.Weight.parse(r22, "2,1|1,0")
-    g = kac.generate_graph(lam)
-    blob = json.dumps(g.to_json(), sort_keys=True).encode()
+    doc = kac.generate_graph(lam).to_json()
+    # the edges, with each vertex written as its element and weight, not its id
+    canon = {
+        v["id"]: json.dumps(
+            {key: val for key, val in v.items() if key != "id"},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for v in doc["vertices"]
+    }
+    total = sum(
+        int.from_bytes(
+            hashlib.sha256(("%s|%d|%s" % (canon[src], k, canon[dst])).encode()).digest()[:16],
+            "big",
+        )
+        for src, k, dst in doc["edges"]
+    )
+    assert "%032x" % (total % (1 << 128)) == "d2c0b09822852687a49d995e049f6843"
+    # the bytes, with vertex ids in product order
+    blob = json.dumps(doc, sort_keys=True).encode()
     digest = hashlib.sha256(blob).hexdigest()
-    assert digest.startswith("af5590b424337cfb")
+    assert digest.startswith("635d27e7ded0299b")
 
 
 def test_generate_graph_negative_coords_offset(r22):
@@ -145,19 +163,31 @@ def test_dual_ell(r22):
 
 
 @pytest.mark.parametrize(
-    "m,n,text", [(2, 2, "1,0|1,0"), (3, 2, "1,0,-1|1,0"), (2, 3, "1,0|1,0,-1")]
+    "model,m,n,text",
+    [
+        pytest.param(kac.MODEL_STANDARD, 2, 2, "1,0|1,0", id="2-2-1,0|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "1,0,-1|1,0", id="3-2-1,0,-1|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 2, 3, "1,0|1,0,-1", id="2-3-1,0|1,0,-1"),
+        pytest.param(kac.MODEL_DUAL, 2, 2, "-1,-2|2,1", id="dual-2-2--1,-2|2,1"),
+        pytest.param(kac.MODEL_DUAL, 3, 2, "0,-1,-1|1,0", id="dual-3-2-0,-1,-1|1,0"),
+    ],
 )
-def test_graph_edges_match_apply_kac(m, n, text):
-    # element-level operators against the table-driven graph engine
+def test_graph_edges_match_apply_kac(model, m, n, text):
+    # element-level operators and weights against the table-driven graph engine
     rank = base.make_rank(m, n)
-    g = kac.generate_graph(base.Weight.parse(rank, text))
-    index = {g.element(v).key(): v for v in range(len(g.vertices))}
+    g = kac.generate_graph(base.Weight.parse(rank, text), model=model)
+    index = {g.element(v).key(): v for v in g.vertices}
     lowered = {(src, k): dst for src, k, dst in g.edges}
     raised = {(dst, k): src for src, k, dst in g.edges}
-    for v in range(len(g.vertices)):
+    for v in g.vertices:
         b = g.element(v)
+        assert g.weight_coords(v) == b.weight(g.offset).coords
         for k in base.colors(rank):
             down = kac.apply_kac(k, wordops.LOWER, b)
-            assert lowered.get((v, k)) == (None if down is None else index[down.key()])
+            down_id = None if down is None else index[down.key()]
+            assert lowered.get((v, k)) == down_id
+            assert g.step(v, k, wordops.LOWER) == down_id
             up = kac.apply_kac(k, wordops.RAISE, b)
-            assert raised.get((v, k)) == (None if up is None else index[up.key()])
+            up_id = None if up is None else index[up.key()]
+            assert raised.get((v, k)) == up_id
+            assert g.step(v, k, wordops.RAISE) == up_id

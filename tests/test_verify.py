@@ -1,3 +1,4 @@
+import copy
 import json
 
 from kaccrystal import base, kac, rsk, verify
@@ -30,6 +31,21 @@ def test_check_axioms_detects_duplicate_color():
     g.edges.append((src, k, other[2]))
     res = verify.check_axioms(g)
     assert not res.ok
+
+
+def test_check_axioms_detects_unmatched_raise():
+    # a raising entry that no lowering entry matches yields no edge of its own
+    g = _graph("1,0|1,0")
+    bad = copy.copy(g.minus_table)
+    bad.e = {k: list(col) for k, col in g.minus_table.e.items()}
+    i = next(
+        i for i, (up, dn) in enumerate(zip(bad.e[1], bad.f[1])) if up is None and dn is not None
+    )
+    bad.e[1][i] = bad.f[1][i]
+    g = kac.CrystalGraph(g.rank, g.lam, g.model, g.s_table, g.plus_table, bad, g.offset)
+    res = verify.check_axioms(g)
+    assert not res.ok
+    assert "raising at color 1" in res.witness
 
 
 def test_check_connected_pass(r22):
@@ -129,6 +145,20 @@ def test_run_sweep_class_sharing():
         if any("checked_as" in c["counts"] for c in r["checks"])
     ]
     assert shared, "expected at least one offset-shared instance"
+
+
+def test_run_sweep_process_pool_matches_single_process():
+    def without_ms(reports):
+        for report in reports:
+            for check in report["checks"]:
+                del check["ms"]
+        return reports
+
+    sweep = dict(ranks=((1, 1), (2, 1)), box=(-1, 1))
+    one, ok_one = verify.run_sweep(threads=1, **sweep)
+    two, ok_two = verify.run_sweep(threads=2, **sweep)
+    assert ok_one and ok_two
+    assert without_ms(two) == without_ms(one)
 
 
 def test_check_result_json_shape():
