@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or file error,
 3 vertex cap exceeded (for verify: some instance skipped, none failed),
 4 element outside the embedding image.
 """
@@ -65,6 +65,8 @@ def cmd_verify(args):
             lo, hi = (int(x) for x in args.box.split(","))
         except ValueError as exc:
             raise SystemExit2("bad box %r: %s" % (args.box, exc))
+        if lo > hi:
+            raise SystemExit2("bad box %r: lo %d is above hi %d" % (args.box, lo, hi))
         box = (lo, hi)
     reports, ok = verify.run_sweep(ranks=ranks, box=box, cap=args.cap, threads=threads)
     _write_out(verify.report_to_json(reports) + "\n", args.out)
@@ -137,7 +139,7 @@ def main(argv=None):
     except SystemExit2 as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2
-    except (KacCrystalError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (KacCrystalError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write("error: %s\n" % (exc,))
         return 2
 

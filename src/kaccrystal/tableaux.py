@@ -159,7 +159,9 @@ def parse_straight(rank, data, alphabet, name):
         raise MalformedElement("%s must be a JSON object" % name)
     try:
         t = Tableau.from_json(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise MalformedElement("%s is missing field %r" % (name, exc.args[0]))
+    except (AttributeError, TypeError, ValueError) as exc:
         raise MalformedElement("%s: %r" % (name, exc))
     if t.alphabet != alphabet:
         raise MalformedElement("%s must use alphabet %s" % (name, alphabet))

@@ -8,6 +8,7 @@ share one full check run; all three graph checks are invariant under that
 offset, and the sharing is recorded in the result counts.
 """
 
+import itertools
 import json
 import time
 from collections import Counter
@@ -50,44 +51,44 @@ def _timed(fn):
 
 @_timed
 def check_axioms(g):
-    """Per-color degrees, raising/lowering reciprocity, weight steps."""
-    rank = g.rank
-    roots = {k: base.simple_root(rank, k) for k in base.colors(rank)}
-    outdeg = set()
-    indeg = set()
+    """Kashiwara's axioms, one partial-map identity per color: down[k] (the
+    k-edges) and up (raising every vertex at k) invert each other, every
+    k-edge lowers the weight by alpha_k, color 0 never lowers twice, and
+    phi_k - eps_k = <h_k, wt> on the even colors.
+    """
+    def bad(witness):
+        return CheckResult("axioms", False, witness)
+
+    nv = len(g.vertices)
+    down = {k: [None] * nv for k in base.colors(g.rank)}
     for src, k, dst in g.edges:
-        if (src, k) in outdeg:
-            return CheckResult("axioms", False, "two %d-edges out of vertex %d" % (k, src))
-        if (dst, k) in indeg:
-            return CheckResult("axioms", False, "two %d-edges into vertex %d" % (k, dst))
-        outdeg.add((src, k))
-        indeg.add((dst, k))
-        if g.step(src, k, wordops.LOWER) != dst:
-            return CheckResult(
-                "axioms", False, "lowering at color %d from vertex %d misses edge" % (k, src)
-            )
-        if g.step(dst, k, wordops.RAISE) != src:
-            return CheckResult(
-                "axioms", False, "raising at color %d from vertex %d not reciprocal" % (k, dst)
-            )
-        expect = tuple(a - b for a, b in zip(g.weight_coords(src), roots[k].coords))
-        if g.weight_coords(dst) != expect:
-            return CheckResult(
-                "axioms", False, "weight step wrong on edge (%d, %d, %d)" % (src, k, dst)
-            )
-        if k == 0:
-            if g.step(dst, 0, wordops.LOWER) is not None:
-                return CheckResult("axioms", False, "color 0 applied twice at vertex %d" % src)
-            if g.step(src, 0, wordops.RAISE) is not None:
-                return CheckResult("axioms", False, "color 0 raised twice at vertex %d" % dst)
-    # edges come from lowering; a raise with no edge into its vertex is unmatched
-    for v in g.vertices:
-        for k in roots:
-            if (v, k) not in indeg and g.step(v, k, wordops.RAISE) is not None:
-                return CheckResult(
-                    "axioms", False, "raising at color %d from vertex %d misses edge" % (k, v)
-                )
-    return CheckResult("axioms", True, counts={"vertices": len(g.vertices), "edges": len(g.edges)})
+        if not (0 <= src < nv and 0 <= dst < nv):
+            return bad("edge (%d, %d, %d) leaves the vertex set" % (src, k, dst))
+        if down[k][src] is not None:
+            return bad("two %d-edges out of vertex %d" % (k, src))
+        down[k][src] = dst
+    wt = g.weight_coords
+    for k, dn in down.items():
+        root = base.simple_root(g.rank, k).coords
+        up = [g.step(v, k, wordops.RAISE) for v in g.vertices]
+        for v, (u, d) in enumerate(zip(up, dn)):
+            if u is not None and dn[u] != v:
+                return bad("raising at color %d from vertex %d misses edge" % (k, v))
+            if d is not None:
+                if up[d] != v:
+                    return bad("raising at color %d from vertex %d not reciprocal" % (k, d))
+                if wt(d) != tuple(a - b for a, b in zip(wt(v), root)):
+                    return bad("weight step wrong on edge (%d, %d, %d)" % (v, k, d))
+                if k == 0 and dn[d] is not None:
+                    return bad("color 0 applied twice at vertex %d" % v)
+            if k != 0 and u is None:
+                # a string head (eps = 0) has exactly <h_k, wt> k-edges below it
+                w, left = v, sum(a * b for a, b in zip(root, wt(v)))
+                while left > 0 and w is not None:
+                    w, left = dn[w], left - 1
+                if left or w is None or dn[w] is not None:
+                    return bad("phi - eps wrong at color %d on the string from vertex %d" % (k, v))
+    return CheckResult("axioms", True, counts={"vertices": nv, "edges": len(g.edges)})
 
 
 @_timed
@@ -379,9 +380,9 @@ def run_sweep(ranks=DEFAULT_RANKS, box=DEFAULT_BOX, cap=kac.DEFAULT_CAP, threads
     if threads > 1:
         import concurrent.futures
 
-        args = [(classes[key].rank, str(classes[key]), cap) for key in order]
+        reps = [classes[key] for key in order]
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            for key, results in zip(order, pool.map(_sweep_worker, args)):
+            for key, results in zip(order, pool.map(_check_class, reps, itertools.repeat(cap))):
                 rep_results[key] = results
     else:
         for key in order:
@@ -406,12 +407,6 @@ def run_sweep(ranks=DEFAULT_RANKS, box=DEFAULT_BOX, cap=kac.DEFAULT_CAP, threads
             ok = ok and res.ok
         reports.append({"instance": instance, "checks": [c.to_json() for c in checks]})
     return reports, ok
-
-
-def _sweep_worker(arg):
-    (m, n), lam_text, cap = arg
-    lam = base.Weight.parse(base.make_rank(m, n), lam_text)
-    return _check_class(lam, cap)
 
 
 def report_to_json(reports):

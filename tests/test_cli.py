@@ -74,7 +74,12 @@ def test_verify_small_sweep(capsys):
 
 
 @pytest.mark.parametrize(
-    "option,message", [("--ranks=1", "bad rank '1'"), ("--box=0", "bad box '0'")]
+    "option,message",
+    [
+        ("--ranks=1", "bad rank '1'"),
+        ("--box=0", "bad box '0'"),
+        ("--box=2,-1", "bad box '2,-1'"),
+    ],
 )
 def test_verify_rejects_malformed_ranks_and_box(capsys, option, message):
     code, out, err = run(["verify", option], capsys)
@@ -175,6 +180,10 @@ def test_embed_inverse_rejects_ragged_root_bits(tmp_path, capsys):
             {"alphabet": "B", "outer": [1.0], "inner": [], "rows": [["b1"]]},
             "tableau is not a straight semistandard tableau",
         ),
+        (
+            {"outer": [1], "inner": [], "rows": [["b1"]]},
+            "tableau is missing field 'alphabet'",
+        ),
     ],
 )
 def test_embed_rejects_malformed_tableau(tmp_path, capsys, data, message):
@@ -190,6 +199,21 @@ def test_embed_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(["embed", "--rank", "1,1", "--in", str(path)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--rank", "2,2", "--in", "{missing}/tableau.json"],
+        ["crystal", "--rank", "1,1", "--lambda", "0|0", "--out", "{missing}/x.json"],
+    ],
+    ids=["embed-in", "crystal-out"],
+)
+def test_file_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    code, _, err = run([a.format(missing=missing) for a in argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_console_script_installed():

@@ -1,5 +1,8 @@
 import copy
 import json
+import types
+
+import pytest
 
 from kaccrystal import base, kac, rsk, verify
 
@@ -46,6 +49,93 @@ def test_check_axioms_detects_unmatched_raise():
     res = verify.check_axioms(g)
     assert not res.ok
     assert "raising at color 1" in res.witness
+
+
+def _retarget_edge(g):
+    src, k, dst = g.edges[0]
+    g.edges[0] = (src, k, (dst + 1) % len(g.vertices))
+
+
+def _edge_leaving_the_graph(g):
+    src, k, _ = g.edges[0]
+    g.edges[0] = (src, k, len(g.vertices))
+
+
+def _drop_edge(g):
+    del g.edges[0]
+
+
+def _two_edges_into_one_vertex(g):
+    a, k, c = g.edges[0]
+    i = next(i for i, (b, kk, _) in enumerate(g.edges) if kk == k and b != a)
+    g.edges[i] = (g.edges[i][0], k, c)
+
+
+def _zero_edge_from_zero_target(g):
+    src, _, dst = next(e for e in g.edges if e[1] == 0)
+    g.edges.append((dst, 0, src))
+
+
+def _bump_target_weight(g):
+    _, _, dst = g.edges[0]
+    w = g.weight_coords(dst)
+    g._weights[dst] = (w[0] + 1,) + w[1:]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _retarget_edge,
+        _edge_leaving_the_graph,
+        _drop_edge,
+        _two_edges_into_one_vertex,
+        _zero_edge_from_zero_target,
+        _bump_target_weight,
+    ],
+)
+def test_check_axioms_rejects_tampered_graph(tamper):
+    g = _graph("1,0|1,0")
+    tamper(g)
+    res = verify.check_axioms(g)
+    assert not res.ok
+    assert res.witness is not None
+
+
+@pytest.mark.parametrize(
+    "edges,raised,depth,witness",
+    [
+        ([(0, 0, 2), (0, 0, 1)], {1: 0}, (0, 1, 1), "two 0-edges out of vertex 0"),
+        ([(0, 0, 2), (1, 0, 2)], {2: 0}, (0, 0, 1), "from vertex 2 not reciprocal"),
+        ([(0, 0, 1), (1, 0, 2)], {1: 0, 2: 1}, (0, 1, 2), "color 0 applied twice"),
+    ],
+    ids=["second-edge-out", "second-edge-in", "color-0-twice"],
+)
+def test_check_axioms_rejects_graph_breaking_one_axiom(edges, raised, depth, witness):
+    # three vertices at rank (1,1); every other axiom holds, so only one check can fire
+    rank = base.make_rank(1, 1)
+    alpha = base.simple_root(rank, 0).coords
+    g = types.SimpleNamespace(
+        rank=rank,
+        vertices=range(3),
+        edges=edges,
+        step=lambda v, k, direction: raised.get(v),
+        weight_coords=lambda v: tuple(-depth[v] * a for a in alpha),
+    )
+    res = verify.check_axioms(g)
+    assert not res.ok
+    assert witness in res.witness
+
+
+def test_check_axioms_detects_wrong_string_length():
+    # a shifted offset keeps every weight step but breaks phi - eps = <h_k, wt>
+    g = _graph("1,0|1,0")
+    shifted = g.offset.add(base.eps_barred(g.rank, 1))
+    g = kac.CrystalGraph(
+        g.rank, g.lam, g.model, g.s_table, g.plus_table, g.minus_table, shifted
+    )
+    res = verify.check_axioms(g)
+    assert not res.ok
+    assert "color -1" in res.witness
 
 
 def test_check_connected_pass(r22):
