@@ -6,9 +6,16 @@ barred-dual one in the dual model used by the insertion bridge) and T- an
 unbarred-letter tableau.  Barred colors act on (S, T+) by the lower tensor
 rule, unbarred colors on (S, T-) by the upper rule, and color 0 adds or
 removes the root -eps(b1) + eps(1) in S.
+
+A graph numbers the vertices of the product S x T+ x T- in product order.
+Because each color leaves one or two factors untouched, its operator is
+the same shift on every vertex of a slice of the product, and the graph
+builds it as one move list over all vertices with one tensor decision per
+slice (CrystalGraph.moves).
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from . import base, tableaux, wordops
@@ -325,9 +332,13 @@ def _dual_factors(lam, ell):
     m, n = rank
     bs = lam.coords[:m]
     us = lam.coords[m:]
-    if bs[0] > 0 or us[n - 1] < 0 or ell + bs[m - 1] < 0:
+    if bs[0] > 0 or us[n - 1] < 0:
         raise NotDominant(
             "dual model needs nonpositive barred and nonnegative unbarred parts"
+        )
+    if ell + bs[m - 1] < 0:
+        raise NotDominant(
+            "dual model needs ell at least -b1 = %d, got ell = %d" % (-bs[m - 1], ell)
         )
     mu = base.normalize_partition(tuple(ell + b for b in bs))
     shape_minus = base.conjugate(us)
@@ -339,9 +350,10 @@ class CrystalGraph:
 
     Vertex (s, p, v), with s the root-set mask and p, v the indices of T+
     and T- in their tables, has id (s*|T+| + p)*|T-| + v, so vertex ids
-    follow product order.  Every vertex of the product is in the graph;
-    edges are found by lowering each vertex at each color, which lists
-    them sorted by (source, color).
+    follow product order.  Every vertex of the product is in the graph.
+    Each color acts on at most two factors, so its operator is one move
+    list over all ids, built slice by slice (see moves); the edges are the
+    lowering lists read vertex by vertex, sorted by (source, color).
     """
 
     def __init__(self, rank, lam, model, s_table, plus_table, minus_table, offset):
@@ -355,21 +367,22 @@ class CrystalGraph:
         self._nplus = len(plus_table.elements)
         self._nminus = len(minus_table.elements)
         self.vertices = range(len(s_table.sets) * self._nplus * self._nminus)
-        ks = base.colors(rank)
+        add = operator.add
         off = offset.coords
-        self._weights = []
-        self.edges = []
-        vid = 0
-        for ws in s_table.weights:
-            for wp in plus_table.weights:
-                wsp = tuple(a + b + c for a, b, c in zip(ws, wp, off))
-                for wv in minus_table.weights:
-                    self._weights.append(tuple(a + b for a, b in zip(wsp, wv)))
-                    for k in ks:
-                        dst = self.step(vid, k, wordops.LOWER)
-                        if dst is not None:
-                            self.edges.append((vid, k, dst))
-                    vid += 1
+        self._weights = [
+            tuple(map(add, wsp, wv))
+            for ws in s_table.weights
+            for wsp in [tuple(map(add, map(add, ws, wp), off)) for wp in plus_table.weights]
+            for wv in minus_table.weights
+        ]
+        ks = base.colors(rank)
+        lowered = zip(*[self.moves(k, wordops.LOWER) for k in ks])
+        self.edges = [
+            (v, k, d)
+            for v, ds in enumerate(lowered)
+            for k, d in zip(ks, ds)
+            if d is not None
+        ]
 
     def _triple(self, vid):
         sp, vi = divmod(vid, self._nminus)
@@ -391,25 +404,47 @@ class CrystalGraph:
     def weight(self, vid):
         return base.Weight(self.rank, self.weight_coords(vid))
 
-    def step(self, vid, k, direction):
-        """Table-driven operator application; returns a vertex id or None.
+    def moves(self, k, direction):
+        """The color-k operator on every vertex: a list of target ids, None
+        where the operator is null.
 
-        Color 0 moves S.  Any other color pairs S with T+ (k < 0) or T-
-        (k > 0) by the tensor rule and moves the selected factor.
+        Color 0 moves S alone, so one decision covers the |T+|*|T-| ids of
+        an S index.  Color k < 0 pairs S with T+ by the tensor rule: one
+        decision per (s, p) covers the |T-| consecutive ids of that slice.
+        Color k > 0 pairs S with T-: one decision per (s, v) covers |T+| ids
+        at stride |T-|.  The moved factor shifts the whole slice at once.
         """
-        si, pi, vi = self._triple(vid)
-        table, idx, stride = self.s_table, si, self._nplus * self._nminus
-        if k != 0:
-            other, oidx, ostride = (
-                (self.plus_table, pi, self._nminus) if k < 0 else (self.minus_table, vi, 1)
-            )
-            if wordops.tensor_select(
-                k, direction, table.eps[k][si], table.phi[k][si],
-                other.eps[k][oidx], other.phi[k][oidx],
-            ) == 2:
-                table, idx, stride = other, oidx, ostride
-        moved = (table.e if direction == wordops.RAISE else table.f)[k][idx]
-        return None if moved is None else vid + (moved - idx) * stride
+        npv = self._nplus * self._nminus
+        st = self.s_table
+        s_moved = (st.e if direction == wordops.RAISE else st.f)[k]
+        # the factor paired with S and its id stride; a slice is the ids
+        # range(b, b + span, step) that share one decision
+        if k == 0:
+            other, ostride, span, step = None, 0, npv, 1
+        elif k < 0:
+            other, ostride, span, step = self.plus_table, self._nminus, self._nminus, 1
+        else:
+            other, ostride, span, step = self.minus_table, 1, npv, self._nminus
+        if other is None:
+            others = range(1)
+        else:
+            others = range(len(other.elements))
+            o_moved = (other.e if direction == wordops.RAISE else other.f)[k]
+            s_eps, s_phi, o_eps, o_phi = st.eps[k], st.phi[k], other.eps[k], other.phi[k]
+        out = [None] * len(self.vertices)
+        for si in range(len(st.sets)):
+            for oi in others:
+                b = si * npv + oi * ostride
+                if other is None or wordops.tensor_select(
+                    k, direction, s_eps[si], s_phi[si], o_eps[oi], o_phi[oi]
+                ) == 1:
+                    moved, idx, stride = s_moved[si], si, npv
+                else:
+                    moved, idx, stride = o_moved[oi], oi, ostride
+                if moved is not None:
+                    t = b + (moved - idx) * stride
+                    out[b:b + span:step] = range(t, t + span, step)
+        return out
 
     def source_vertices(self):
         """Vertices killed by every raising operator (no incoming edge)."""

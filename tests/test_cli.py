@@ -56,12 +56,22 @@ def test_crystal_bad_rank(capsys):
     assert code == 2
 
 
-def test_crystal_bad_weight(capsys):
-    code, _, err = run(
-        ["crystal", "--rank", "2,2", "--lambda", "1,2|0,0"], capsys
-    )
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--lambda", "1,2|0,0"], "is not dominant"),
+        (["--lambda", "1,0|1,0", "--model", "dual"], "nonpositive barred"),
+        (
+            ["--lambda", "0,-1|1,0", "--model", "dual", "--ell", "0"],
+            "ell at least -b1 = 1, got ell = 0",
+        ),
+    ],
+    ids=["not-dominant", "dual-sign", "dual-width"],
+)
+def test_crystal_bad_weight(capsys, argv, message):
+    code, _, err = run(["crystal", "--rank", "2,2"] + argv, capsys)
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: ") and message in err
 
 
 def test_verify_small_sweep(capsys):

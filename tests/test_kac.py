@@ -168,6 +168,8 @@ def test_dual_ell(r22):
         pytest.param(kac.MODEL_STANDARD, 2, 2, "1,0|1,0", id="2-2-1,0|1,0"),
         pytest.param(kac.MODEL_STANDARD, 3, 2, "1,0,-1|1,0", id="3-2-1,0,-1|1,0"),
         pytest.param(kac.MODEL_STANDARD, 2, 3, "1,0|1,0,-1", id="2-3-1,0|1,0,-1"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,1|2,2", id="3-2-2,2,1|2,2"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,2|2,1", id="3-2-2,2,2|2,1"),
         pytest.param(kac.MODEL_DUAL, 2, 2, "-1,-2|2,1", id="dual-2-2--1,-2|2,1"),
         pytest.param(kac.MODEL_DUAL, 3, 2, "0,-1,-1|1,0", id="dual-3-2-0,-1,-1|1,0"),
     ],
@@ -179,6 +181,8 @@ def test_graph_edges_match_apply_kac(model, m, n, text):
     index = {g.element(v).key(): v for v in g.vertices}
     lowered = {(src, k): dst for src, k, dst in g.edges}
     raised = {(dst, k): src for src, k, dst in g.edges}
+    lower = {k: g.moves(k, wordops.LOWER) for k in base.colors(rank)}
+    upper = {k: g.moves(k, wordops.RAISE) for k in base.colors(rank)}
     for v in g.vertices:
         b = g.element(v)
         assert g.weight_coords(v) == b.weight(g.offset).coords
@@ -186,8 +190,8 @@ def test_graph_edges_match_apply_kac(model, m, n, text):
             down = kac.apply_kac(k, wordops.LOWER, b)
             down_id = None if down is None else index[down.key()]
             assert lowered.get((v, k)) == down_id
-            assert g.step(v, k, wordops.LOWER) == down_id
+            assert lower[k][v] == down_id
             up = kac.apply_kac(k, wordops.RAISE, b)
             up_id = None if up is None else index[up.key()]
             assert raised.get((v, k)) == up_id
-            assert g.step(v, k, wordops.RAISE) == up_id
+            assert upper[k][v] == up_id

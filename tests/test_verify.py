@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from kaccrystal import base, kac, rsk, verify
+from kaccrystal import base, cli, kac, rsk, verify
 
 
 def _graph(text, rank=(2, 2)):
@@ -118,7 +118,7 @@ def test_check_axioms_rejects_graph_breaking_one_axiom(edges, raised, depth, wit
         rank=rank,
         vertices=range(3),
         edges=edges,
-        step=lambda v, k, direction: raised.get(v),
+        moves=lambda k, d: [raised.get(v) for v in range(3)],
         weight_coords=lambda v: tuple(-depth[v] * a for a in alpha),
     )
     res = verify.check_axioms(g)
@@ -235,6 +235,29 @@ def test_run_sweep_class_sharing():
         if any("checked_as" in c["counts"] for c in r["checks"])
     ]
     assert shared, "expected at least one offset-shared instance"
+
+
+def test_run_sweep_reports_a_raising_class_and_goes_on(monkeypatch, capsys):
+    # one class whose checks raise fails on its own; the other classes still run
+    bad = base.Weight.parse(base.make_rank(1, 1), "1|0")
+    check_graph_instance = verify.check_graph_instance
+
+    def flaky(lam, cap=kac.DEFAULT_CAP):
+        if lam == bad:
+            raise KeyError("planted")
+        return check_graph_instance(lam, cap=cap)
+
+    monkeypatch.setattr(verify, "check_graph_instance", flaky)
+    reports, ok = verify.run_sweep(ranks=((1, 1),), box=(-1, 1))
+    assert not ok
+    assert len(reports) == 9
+    failed = [r for r in reports if not all(c["pass"] for c in r["checks"])]
+    assert {r["instance"]["lambda"] for r in failed} == {"1|0", "1|-1"}
+    for r in failed:
+        assert [c["witness"] for c in r["checks"]] == ["KeyError: 'planted'"]
+        assert r["checks"][0]["counts"].get("checked_as", "1|0") == "1|0"
+    assert cli.main(["verify", "--ranks", "1,1", "--box=-1,1"]) == 1
+    assert len(json.loads(capsys.readouterr().out)) == 9
 
 
 def test_run_sweep_process_pool_matches_single_process():
