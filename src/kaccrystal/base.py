@@ -105,10 +105,13 @@ class Weight:
     @staticmethod
     def parse(rank, text):
         barred, _, unbarred = text.partition("|")
-        bs = [int(x) for x in barred.split(",")] if barred.strip() else []
-        us = [int(x) for x in unbarred.split(",")] if unbarred.strip() else []
+        try:
+            bs = [int(x) for x in barred.split(",")] if barred.strip() else []
+            us = [int(x) for x in unbarred.split(",")] if unbarred.strip() else []
+        except ValueError as exc:
+            raise ValueError("bad weight %r: %s" % (text, exc)) from None
         if len(bs) != rank.m or len(us) != rank.n:
-            raise ValueError("weight %r does not match rank %s" % (text, (rank,)))
+            raise ValueError("weight %r does not match rank %d,%d" % (text, rank.m, rank.n))
         return Weight(rank, tuple(bs) + tuple(us))
 
     def __str__(self):

@@ -26,12 +26,13 @@ class SystemExit2(Exception):
     pass
 
 
-def _write_out(text, path):
+def _write_out(chunks, path):
+    """Write the text pieces to the file at `path`, or to stdout without one."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _read_in(path):
@@ -46,9 +47,9 @@ def cmd_crystal(args):
     lam = base.Weight.parse(rank, getattr(args, "lambda"))
     g = kac.generate_graph(lam, cap=args.cap, model=args.model, ell=args.ell)
     if args.format == "dot":
-        _write_out(g.to_dot(), args.out)
+        _write_out([g.to_dot()], args.out)
     else:
-        _write_out(json.dumps(g.to_json(), indent=2) + "\n", args.out)
+        _write_out(g.json_chunks(), args.out)
     return 0
 
 
@@ -69,7 +70,7 @@ def cmd_verify(args):
             raise SystemExit2("bad box %r: lo %d is above hi %d" % (args.box, lo, hi))
         box = (lo, hi)
     reports, ok = verify.run_sweep(ranks=ranks, box=box, cap=args.cap, threads=threads)
-    _write_out(verify.report_to_json(reports) + "\n", args.out)
+    _write_out([verify.report_to_json(reports), "\n"], args.out)
     if not ok:
         return 1
     return 3 if any("skipped" in r for r in reports) else 0
@@ -84,13 +85,13 @@ def cmd_embed(args):
         if t is None:
             sys.stderr.write("element is outside the embedding image\n")
             return 4
-        _write_out(json.dumps(t.to_json(), indent=2) + "\n", args.out)
+        _write_out([json.dumps(t.to_json(), indent=2), "\n"], args.out)
         return 0
     t = tableaux.parse_straight(rank, data, base.ALPHABET_B, "tableau")
     b = embedding.xi(rank, t)
     out = b.to_json()
     out["lambda"] = str(base.hook_weight(rank, t.outer))
-    _write_out(json.dumps(out, indent=2) + "\n", args.out)
+    _write_out([json.dumps(out, indent=2), "\n"], args.out)
     return 0
 
 

@@ -15,6 +15,8 @@ slice (CrystalGraph.moves).
 """
 
 import functools
+import itertools
+import json
 import operator
 from dataclasses import dataclass
 
@@ -463,6 +465,42 @@ class CrystalGraph:
             "edges": [list(e) for e in self.edges],
         }
 
+    def json_chunks(self):
+        """The text of json.dumps(self.to_json(), indent=2) + "\\n", in pieces.
+
+        Every S set, T+ tableau, T- tableau and distinct weight is rendered
+        once, by json.dumps re-indented to its depth in the document; each
+        vertex and each edge is then one template filled with those texts,
+        walking (s, p, v) in product order.
+        """
+
+        def block(value, depth):
+            return json.dumps(value, indent=2).replace("\n", "\n" + " " * depth)
+
+        s_text = [block(s.bits(), 6) for s in self.s_table.sets]
+        p_text = [block(t.to_json(), 6) for t in self.plus_table.elements]
+        v_text = [block(t.to_json(), 6) for t in self.minus_table.elements]
+        wt_text = {w: json.dumps(str(base.Weight(self.rank, w))) for w in set(self._weights)}
+        yield '{\n  "rank": %s,\n  "lambda": %s,\n  "model": %s,\n  "vertices": [' % (
+            block([self.rank.m, self.rank.n], 2),
+            json.dumps(str(self.lam)),
+            json.dumps(self.model),
+        )
+        vertex = (
+            '\n    {\n      "id": %d,\n      "wt": %s,\n      "S": %s,'
+            '\n      "Tplus": %s,\n      "Tminus": %s\n    }'
+        )
+        weights = self._weights
+        yield from _comma_joined(
+            vertex % (vid, wt_text[weights[vid]], st, pt, vt)
+            for vid, (st, pt, vt) in enumerate(itertools.product(s_text, p_text, v_text))
+        )
+        # never empty: color 0 lowers every vertex whose S lacks (1, 1)
+        yield '\n  ],\n  "edges": ['
+        edge = "\n    [\n      %d,\n      %d,\n      %d\n    ]"
+        yield from _comma_joined(edge % e for e in self.edges)
+        yield "\n  ]\n}\n"
+
     def to_dot(self):
         lines = ["digraph crystal {"]
         for v in self.vertices:
@@ -473,11 +511,25 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
+def _comma_joined(texts):
+    """The texts joined by commas, yielded 1024 texts at a time."""
+    texts = iter(texts)
+    lead = ""
+    while True:
+        chunk = ",".join(itertools.islice(texts, 1024))
+        if not chunk:
+            return
+        yield lead + chunk
+        lead = ","
+
+
 def generate_graph(lam, cap=DEFAULT_CAP, model=MODEL_STANDARD, ell=None):
     rank = lam.rank
     if not lam.is_dominant():
         raise NotDominant("%s is not dominant" % lam)
     if model == MODEL_STANDARD:
+        if ell is not None:
+            raise ValueError("ell applies only to the dual model")
         shape_plus, shape_minus, offset = _standard_factors(lam)
         pt = factor_table(base.ALPHABET_BPLUS, rank, shape_plus)
         vt = factor_table(base.ALPHABET_BMINUS, rank, shape_minus)

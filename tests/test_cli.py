@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kaccrystal import base, cli, embedding, tableaux
+from kaccrystal import base, cli, embedding, kac, tableaux
 
 
 def run(argv, capsys):
@@ -33,22 +33,27 @@ def test_crystal_dot(capsys):
 
 
 def test_crystal_out_file(tmp_path, capsys):
+    argv = ["crystal", "--rank", "2,2", "--lambda", "2,1|1,0"]
     path = tmp_path / "graph.json"
-    code, out, _ = run(
-        ["crystal", "--rank", "1,1", "--lambda", "0|0", "--out", str(path)],
-        capsys,
-    )
+    code, out, _ = run(argv + ["--out", str(path)], capsys)
     assert code == 0 and out == ""
-    assert json.loads(path.read_text())["lambda"] == "0|0"
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    graph = kac.generate_graph(base.Weight.parse(base.make_rank(2, 2), "2,1|1,0"))
+    oracle = json.dumps(graph.to_json(), indent=2) + "\n"
+    assert path.read_bytes() == out.encode() == oracle.encode()
 
 
-def test_crystal_cap_exceeded(capsys):
-    code, _, err = run(
-        ["crystal", "--rank", "2,2", "--lambda", "2,1|1,0", "--cap", "10"],
-        capsys,
-    )
+def test_crystal_cap_exceeded(tmp_path, capsys):
+    argv = ["crystal", "--rank", "2,2", "--lambda", "2,1|1,0", "--cap", "10"]
+    code, _, err = run(argv, capsys)
     assert code == 3
     assert err.strip()
+    # no partial file: the output is opened only once the graph is built
+    path = tmp_path / "graph.json"
+    code, out, err = run(argv + ["--out", str(path)], capsys)
+    assert code == 3 and out == "" and err.strip()
+    assert not path.exists()
 
 
 def test_crystal_bad_rank(capsys):
@@ -65,8 +70,11 @@ def test_crystal_bad_rank(capsys):
             ["--lambda", "0,-1|1,0", "--model", "dual", "--ell", "0"],
             "ell at least -b1 = 1, got ell = 0",
         ),
+        (["--lambda", "1,0|1,0", "--ell", "3"], "ell applies only to the dual model"),
+        (["--lambda", "1,0|1"], "weight '1,0|1' does not match rank 2,2"),
+        (["--lambda", "a,0|1,0"], "bad weight 'a,0|1,0': invalid literal"),
     ],
-    ids=["not-dominant", "dual-sign", "dual-width"],
+    ids=["not-dominant", "dual-sign", "dual-width", "ell-standard", "short-weight", "bad-part"],
 )
 def test_crystal_bad_weight(capsys, argv, message):
     code, _, err = run(["crystal", "--rank", "2,2"] + argv, capsys)

@@ -165,6 +165,23 @@ def test_dual_ell(r22):
 @pytest.mark.parametrize(
     "model,m,n,text",
     [
+        pytest.param(kac.MODEL_STANDARD, 1, 1, "0|0", id="1-1-0|0"),
+        pytest.param(kac.MODEL_STANDARD, 2, 2, "2,1|1,0", id="2-2-2,1|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 2, 2, "-1,-2|2,1", id="2-2--1,-2|2,1"),
+        # |T-| = 1, then |T+| = 1
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,1|2,2", id="3-2-2,2,1|2,2"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,2|2,1", id="3-2-2,2,2|2,1"),
+        pytest.param(kac.MODEL_DUAL, 3, 2, "0,-1,-1|1,0", id="dual-3-2-0,-1,-1|1,0"),
+    ],
+)
+def test_json_chunks_match_to_json(model, m, n, text):
+    g = kac.generate_graph(base.Weight.parse(base.make_rank(m, n), text), model=model)
+    assert "".join(g.json_chunks()) == json.dumps(g.to_json(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "model,m,n,text",
+    [
         pytest.param(kac.MODEL_STANDARD, 2, 2, "1,0|1,0", id="2-2-1,0|1,0"),
         pytest.param(kac.MODEL_STANDARD, 3, 2, "1,0,-1|1,0", id="3-2-1,0,-1|1,0"),
         pytest.param(kac.MODEL_STANDARD, 2, 3, "1,0|1,0,-1", id="2-3-1,0|1,0,-1"),
