@@ -480,7 +480,7 @@ class CrystalGraph:
         s_text = [block(s.bits(), 6) for s in self.s_table.sets]
         p_text = [block(t.to_json(), 6) for t in self.plus_table.elements]
         v_text = [block(t.to_json(), 6) for t in self.minus_table.elements]
-        wt_text = {w: json.dumps(str(base.Weight(self.rank, w))) for w in set(self._weights)}
+        wt_text = {w: json.dumps(text) for w, text in self._weight_texts().items()}
         yield '{\n  "rank": %s,\n  "lambda": %s,\n  "model": %s,\n  "vertices": [' % (
             block([self.rank.m, self.rank.n], 2),
             json.dumps(str(self.lam)),
@@ -501,10 +501,15 @@ class CrystalGraph:
         yield from _comma_joined(edge % e for e in self.edges)
         yield "\n  ]\n}\n"
 
+    def _weight_texts(self):
+        """The text of every distinct vertex weight, keyed by its coords."""
+        return {w: str(base.Weight(self.rank, w)) for w in set(self._weights)}
+
     def to_dot(self):
+        wt_text = self._weight_texts()
         lines = ["digraph crystal {"]
-        for v in self.vertices:
-            lines.append('  v%d [label="%d", tooltip="%s"];' % (v, v, self.weight(v)))
+        for v, w in enumerate(self._weights):
+            lines.append('  v%d [label="%d", tooltip="%s"];' % (v, v, wt_text[w]))
         for src, k, dst in self.edges:
             lines.append('  v%d -> v%d [label="%d"];' % (src, dst, k))
         lines.append("}")

@@ -236,17 +236,13 @@ def enumerate_image(lam, ell):
     vs = tableaux.enumerate_sst(base.ALPHABET_BMINUS, rank, nu)
     out = []
     for eta in _subpartitions(mu):
-        ps = tableaux.enumerate_sst(base.ALPHABET_BDUAL, rank, (ell,) * m, eta)
-        qs = tableaux.enumerate_sst(base.ALPHABET_BMINUS, rank, mu, eta)
-        for p in ps:
-            for q in qs:
-                for v in vs:
-                    out.append(
-                        KappaElement(
-                            rank,
-                            tableaux.Tableau(p.alphabet, p.outer, p.inner, p.rows, True),
-                            tableaux.Tableau(q.alphabet, q.outer, q.inner, q.rows, True),
-                            v,
-                        )
-                    )
+        ps = [
+            tableaux.Tableau(p.alphabet, p.outer, p.inner, p.rows, True)
+            for p in tableaux.enumerate_sst(base.ALPHABET_BDUAL, rank, (ell,) * m, eta)
+        ]
+        qs = [
+            tableaux.Tableau(q.alphabet, q.outer, q.inner, q.rows, True)
+            for q in tableaux.enumerate_sst(base.ALPHABET_BMINUS, rank, mu, eta)
+        ]
+        out.extend(KappaElement(rank, p, q, v) for p in ps for q in qs for v in vs)
     return out

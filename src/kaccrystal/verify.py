@@ -181,52 +181,61 @@ def check_character(g):
 @_timed
 def check_rho_commutation(lam, ell=None):
     """Exhaustive round-trip, bijectivity and intertwining of the insertion
-    map on the full domain of a weight in the window."""
+    map on the full domain of a weight in the window.
+
+    rho runs once per domain element, directly on that element.  Domain
+    elements and target images are numbered by key, so the intertwining
+    target rho(f(b)) of an operator step b -> f(b) is read as a number once
+    every element has its image.
+    """
+    def bad(witness):
+        return CheckResult("rho", False, witness)
+
     rank = lam.rank
     if ell is None:
         ell = kac.dual_ell(lam)
     domain = rsk.enumerate_domain(lam, ell)
-    image_keys = set(k.key() for k in rsk.enumerate_image(lam, ell))
+    number = {b.key(): i for i, b in enumerate(domain)}
+    targets = {k.key(): i for i, k in enumerate(rsk.enumerate_image(lam, ell))}
+    image = [None] * len(domain)  # image[i]: target number of rho(domain[i])
     seen = set()
+    # (i, k, direction, number of f(b), target number of f(rho(b))) per step
+    steps = []
     ks = base.colors(rank)
-    for b in domain:
+    for i, b in enumerate(domain):
         try:
             img = rsk.rho(b)
         except KacCrystalError as exc:
-            return CheckResult("rho", False, "forward map failed on %s: %s" % (b, exc))
-        key = img.key()
-        if key in seen:
-            return CheckResult("rho", False, "two elements share image %s" % (key,))
-        seen.add(key)
-        if key not in image_keys:
-            return CheckResult("rho", False, "image %s outside the target set" % (key,))
-        back = rsk.rho_inverse(img)
-        if back != b:
-            return CheckResult("rho", False, "round trip failed at %s" % (b,))
+            return bad("forward map failed on %s: %s" % (b, exc))
+        t = targets.get(img.key())
+        if t is None:
+            return bad("image %s outside the target set" % (img.key(),))
+        if t in seen:
+            return bad("two elements share image %s" % (img.key(),))
+        seen.add(t)
+        image[i] = t
+        if rsk.rho_inverse(img) != b:
+            return bad("round trip failed at %s" % (b,))
         if img.weight() != b.weight():
-            return CheckResult("rho", False, "weight not preserved at %s" % (b,))
+            return bad("weight not preserved at %s" % (b,))
         for k in ks:
             for direction in (wordops.RAISE, wordops.LOWER):
                 lhs = kac.apply_kac(k, direction, b)
                 rhs = rsk.apply_kappa(k, direction, img)
                 if (lhs is None) != (rhs is None):
-                    return CheckResult(
-                        "rho",
-                        False,
-                        "null mismatch at color %d (%s) on %s" % (k, direction, b),
+                    return bad("null mismatch at color %d (%s) on %s" % (k, direction, b))
+                if lhs is not None:
+                    steps.append(
+                        (i, k, direction, number.get(lhs.key()), targets.get(rhs.key()))
                     )
-                if lhs is not None and rsk.rho(lhs).key() != rhs.key():
-                    return CheckResult(
-                        "rho",
-                        False,
-                        "intertwining fails at color %d (%s) on %s" % (k, direction, b),
-                    )
-    if len(seen) != len(image_keys):
-        return CheckResult(
-            "rho",
-            False,
-            "image has %d elements, target %d" % (len(seen), len(image_keys)),
-        )
+    for i, k, direction, j, t in steps:
+        # an f(b) outside the domain has no image to compare with
+        if j is None or t is None or image[j] != t:
+            return bad(
+                "intertwining fails at color %d (%s) on %s" % (k, direction, domain[i])
+            )
+    if len(domain) != len(targets):
+        return bad("image has %d elements, target %d" % (len(domain), len(targets)))
     return CheckResult("rho", True, counts={"domain": len(domain)})
 
 
@@ -235,62 +244,66 @@ def check_compatibility(rank, shape, cap=kac.DEFAULT_CAP):
     """The hook tableau crystal embeds into its Kac crystal.
 
     Checks injectivity, weight preservation, intertwining, the image size
-    against the brute-force filling count, and the partial inverse.
+    against the brute-force filling count, the partial inverse, and that
+    the embedding is onto exactly when the weight is typical.  xi runs once
+    per tableau, directly on it; the intertwining targets xi(f(t)) are read
+    from those results.
     """
+    def bad(witness):
+        return CheckResult("compatibility", False, witness)
+
     shape = base.normalize_partition(shape)
     lam = base.hook_weight(rank, shape)
     tabs = tableaux.enumerate_sst(base.ALPHABET_B, rank, shape)
-    images = {}
+    embedded = {}  # t.rows -> xi(t)
+    image_keys = set()
     ks = base.colors(rank)
     for t in tabs:
         b = embedding.xi(rank, t)
         if b.weight() != t.weight(rank):
-            return CheckResult("compatibility", False, "weight differs at %s" % (t.rows,))
+            return bad("weight differs at %s" % (t.rows,))
         key = b.key()
-        if key in images:
-            return CheckResult("compatibility", False, "two tableaux map to %s" % (key,))
-        images[key] = t
-        back = embedding.pi_bar(rank, b)
-        if back != t:
-            return CheckResult(
-                "compatibility", False, "partial inverse fails at %s" % (t.rows,)
-            )
+        if key in image_keys:
+            return bad("two tableaux map to %s" % (key,))
+        image_keys.add(key)
+        embedded[t.rows] = b
+        if embedding.pi_bar(rank, b) != t:
+            return bad("partial inverse fails at %s" % (t.rows,))
     g = kac.generate_graph(lam, cap=cap)
-    index = {t.rows: t for t in tabs}
     for t in tabs:
-        b = embedding.xi(rank, t)
+        b = embedded[t.rows]
         for k in ks:
             for direction in (wordops.RAISE, wordops.LOWER):
                 moved = wordops.tableau_apply(rank, k, direction, t)
                 if moved is None:
                     continue
                 target = kac.apply_kac(k, direction, b)
-                if target is None or target.key() != embedding.xi(rank, moved).key():
-                    return CheckResult(
-                        "compatibility",
-                        False,
-                        "intertwining fails at color %d (%s) on %s" % (k, direction, t.rows),
+                expected = embedded.get(moved.rows)
+                if target is None or expected is None or target.key() != expected.key():
+                    return bad(
+                        "intertwining fails at color %d (%s) on %s" % (k, direction, t.rows)
                     )
-    image_keys = set(images)
     hits = 0
     for v in range(len(g.vertices)):
         b = g.element(v)
         back = embedding.pi_bar(rank, b)
         if b.key() in image_keys:
             hits += 1
-            if back is None or back.rows not in index:
-                return CheckResult(
-                    "compatibility", False, "image element rejected at vertex %d" % v
-                )
-        elif back is not None and embedding.xi(rank, back).key() != b.key():
-            return CheckResult(
-                "compatibility", False, "inverse leaves the image at vertex %d" % v
-            )
+            if back is None or back.rows not in embedded:
+                return bad("image element rejected at vertex %d" % v)
+        elif back is not None:
+            again = embedded.get(back.rows)
+            if again is None:
+                again = embedding.xi(rank, back)
+            if again.key() != b.key():
+                return bad("inverse leaves the image at vertex %d" % v)
     if hits != len(tabs):
-        return CheckResult(
-            "compatibility",
-            False,
-            "image size %d, filling count %d" % (hits, len(tabs)),
+        return bad("image size %d, filling count %d" % (hits, len(tabs)))
+    typical = base.is_typical(lam)
+    if (hits == len(g.vertices)) != typical:
+        return bad(
+            "%s is %s but the image holds %d of %d vertices"
+            % (lam, "typical" if typical else "atypical", hits, len(g.vertices))
         )
     return CheckResult(
         "compatibility", True, counts={"tableaux": len(tabs), "vertices": len(g.vertices)}

@@ -179,17 +179,16 @@ def test_criterion_6_insertion_bijection(announce):
     )
 
 
-def _hook_shapes_22():
-    r22 = base.make_rank(2, 2)
+def _hook_shapes(rank):
     return [
         shape
         for shape in rsk._subpartitions((3, 3, 2, 2))
-        if base.in_hook(r22, shape)
+        if base.in_hook(rank, shape)
     ]
 
 
 def test_criterion_7_embedding_compatibility(announce, r22):
-    shapes = _hook_shapes_22()
+    shapes = _hook_shapes(r22)
     t0 = time.perf_counter()
     bad = [
         (shape, res.witness)
@@ -209,7 +208,7 @@ def test_criterion_7_embedding_compatibility(announce, r22):
 
 
 def test_criterion_8_reading_order_independence(announce, r22):
-    shapes = _hook_shapes_22()
+    shapes = _hook_shapes(r22)
     bad = [
         shape
         for shape in shapes
@@ -236,3 +235,24 @@ def test_criterion_9_negative_controls(announce, monkeypatch):
 
     ok = graph_control and zero_control
     announce(9, "negative controls fail loudly", ok)
+
+
+def test_criterion_10_embedding_compatibility_past_gl22(announce):
+    t0 = time.perf_counter()
+    sizes = []
+    bad = []
+    for m, n in ((3, 2), (2, 3)):
+        rank = base.make_rank(m, n)
+        shapes = _hook_shapes(rank)
+        sizes.append(len(shapes))
+        for shape in shapes:
+            res = verify.check_compatibility(rank, shape)
+            if not res.ok:
+                bad.append((rank, shape, res.witness))
+    elapsed = time.perf_counter() - t0
+    announce(
+        10,
+        "embedding compatibility over all hook shapes in (3,3,2,2) at ranks (3,2) and (2,3)",
+        not bad and sizes == [31, 31],
+        "%s shapes, %.1f s" % ("+".join(map(str, sizes)), elapsed),
+    )

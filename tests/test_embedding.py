@@ -1,6 +1,10 @@
-import pytest
+import functools
 
-from kaccrystal import base, embedding, kac, tableaux, wordops
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kaccrystal import base, embedding, kac, rsk, tableaux, wordops
 from kaccrystal.errors import MalformedHookTableau, NotIsomorphic
 
 
@@ -128,3 +132,27 @@ def test_pi_bar_shape_obstruction(r22):
     v = tableaux.make_tableau(base.ALPHABET_BMINUS, (2,), [[1, 2]])
     b = kac.KacElement(r22, kac.OddRootSet.empty(r22), u, v)
     assert embedding.pi_bar(r22, b) is None
+
+
+_R43 = base.make_rank(4, 3)
+_HOOK_SHAPES_43 = [
+    shape
+    for shape in rsk._subpartitions((3, 2, 2, 1, 1))
+    if shape and base.in_hook(_R43, shape)
+]
+_fillings = functools.lru_cache(maxsize=None)(tableaux.enumerate_sst)
+
+
+@st.composite
+def _hook_tableaux_43(draw):
+    shape = draw(st.sampled_from(_HOOK_SHAPES_43))
+    tabs = _fillings(base.ALPHABET_B, _R43, shape)
+    return tabs[draw(st.integers(0, len(tabs) - 1))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hook_tableaux_43())
+def test_pi_bar_inverts_xi_at_rank_4_3(t):
+    b = embedding.xi(_R43, t)
+    assert b.weight() == t.weight(_R43)
+    assert embedding.pi_bar(_R43, b) == t

@@ -212,3 +212,19 @@ def test_graph_edges_match_apply_kac(model, m, n, text):
             up_id = None if up is None else index[up.key()]
             assert raised.get((v, k)) == up_id
             assert upper[k][v] == up_id
+
+
+@pytest.mark.parametrize(
+    "model,m,n,text",
+    [
+        pytest.param(kac.MODEL_STANDARD, 2, 2, "2,1|1,0", id="2-2-2,1|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "1,0,-1|1,0", id="3-2-1,0,-1|1,0"),
+        pytest.param(kac.MODEL_DUAL, 2, 2, "-1,-2|2,1", id="dual-2-2--1,-2|2,1"),
+    ],
+)
+def test_to_dot_matches_per_vertex_weights(model, m, n, text):
+    g = kac.generate_graph(base.Weight.parse(base.make_rank(m, n), text), model=model)
+    lines = ["digraph crystal {"]
+    lines += ['  v%d [label="%d", tooltip="%s"];' % (v, v, g.weight(v)) for v in g.vertices]
+    lines += ['  v%d -> v%d [label="%d"];' % (src, dst, k) for src, k, dst in g.edges]
+    assert g.to_dot() == "\n".join(lines + ["}"]) + "\n"

@@ -1,4 +1,8 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaccrystal import base, kac, rsk, tableaux, wordops
 from kaccrystal.errors import KacCrystalError, PreconditionViolated
@@ -144,3 +148,33 @@ def test_enumerate_domain_and_image_sizes_match(r22):
     assert len(domain) == len(image)
     assert len(set(b.key() for b in domain)) == len(domain)
     assert len(set(k.key() for k in image)) == len(image)
+
+
+_fillings = functools.lru_cache(maxsize=None)(tableaux.enumerate_sst)
+
+
+@st.composite
+def _window_elements(draw):
+    """A domain element of a small window weight at rank (3,3) or (4,3):
+    a root set by mask, and U and V by index among their fillings."""
+    m, n = draw(st.sampled_from([(3, 3), (4, 3)]))
+    rank = base.make_rank(m, n)
+    barred = sorted(draw(st.lists(st.integers(-2, 0), min_size=m, max_size=m)), reverse=True)
+    unbarred = sorted(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), reverse=True)
+    lam = base.Weight(rank, tuple(barred) + tuple(unbarred))
+    ell = kac.dual_ell(lam) + draw(st.integers(0, 1))
+    mu = tuple(ell + b for b in barred)
+    us = _fillings(base.ALPHABET_BDUAL, rank, (ell,) * m, mu)
+    vs = _fillings(base.ALPHABET_BMINUS, rank, base.conjugate(unbarred))
+    s = kac.OddRootSet.from_mask(rank, draw(st.integers(0, (1 << (m * n)) - 1)))
+    u = us[draw(st.integers(0, len(us) - 1))]
+    v = vs[draw(st.integers(0, len(vs) - 1))]
+    return kac.KacElement(rank, s, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_elements())
+def test_rho_round_trip_and_weight_past_rank_2_2(b):
+    img = rsk.rho(b)
+    assert rsk.rho_inverse(img) == b
+    assert img.weight() == b.weight()

@@ -214,3 +214,57 @@ def test_antinormal_insert_sequence_round_trip(codes):
         t, popped = tableaux.antinormal_delete(t, cell)
         assert popped == code
         assert t == history[len(cells)]
+
+
+@st.composite
+def _partitions(draw, max_rows=4, max_part=4):
+    parts = draw(st.lists(st.integers(1, max_part), min_size=1, max_size=max_rows))
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitions(), st.data())
+def test_tableau_rejects_a_row_of_the_wrong_length(outer, data):
+    r = data.draw(st.integers(0, len(outer) - 1))
+    delta = data.draw(st.sampled_from([-1, 1]).filter(lambda d: outer[r] + d >= 0))
+    rows = [(1,) * p for p in outer]
+    rows[r] = (1,) * (outer[r] + delta)
+    with pytest.raises(ValueError):
+        tableaux.Tableau(base.ALPHABET_BMINUS, outer, (), tuple(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.data(),
+)
+def test_with_cell_off_the_boundary_overflows(width, height, data):
+    inner = sorted(
+        data.draw(st.lists(st.integers(0, width), min_size=height, max_size=height)),
+        reverse=True,
+    )
+    t = tableaux.Tableau(
+        base.ALPHABET_BDUAL,
+        (width,) * height,
+        tuple(inner),
+        tuple((1,) * (width - o) for o in inner),
+        True,
+    )
+    r = data.draw(st.integers(-1, height + 1))
+    c = data.draw(st.integers(-1, width + 1))
+    inside = 1 <= r <= height
+    below = inner[r] if 1 <= r < height else 0
+    above = inner[r - 2] if 2 <= r <= height else width
+    addable = inside and c >= 1 and inner[r - 1] == c and below < c
+    corner = inside and c <= width and inner[r - 1] == c - 1 and above >= c
+    if addable:
+        assert t.with_cell(r, c, 2).cell(r, c) == 2
+    else:
+        with pytest.raises(InsertionOverflow):
+            t.with_cell(r, c, 2)
+    if corner:
+        assert t.with_cell(r, c).size() == t.size() - 1
+    else:
+        with pytest.raises(InsertionOverflow):
+            t.with_cell(r, c)

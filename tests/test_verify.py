@@ -5,6 +5,7 @@ import types
 import pytest
 
 from kaccrystal import base, cli, kac, rsk, verify
+from kaccrystal.errors import KacCrystalError
 
 
 def _graph(text, rank=(2, 2)):
@@ -193,10 +194,40 @@ def test_check_rho_commutation_detects_broken_zero_rule(r11, monkeypatch):
     assert res.witness is not None
 
 
+def test_check_rho_commutation_reports_a_forward_failure_on_a_neighbour(monkeypatch):
+    # rho fails only on the last domain element, which earlier elements
+    # reach by an operator before the check visits it
+    lam = base.Weight.parse(base.make_rank(2, 2), "0,-1|1,0")
+    last = rsk.enumerate_domain(lam, kac.dual_ell(lam))[-1]
+    rho = rsk.rho
+
+    def failing(elem):
+        if elem == last:
+            raise KacCrystalError("boom")
+        return rho(elem)
+
+    monkeypatch.setattr(rsk, "rho", failing)
+    res = verify.check_rho_commutation(lam)
+    assert not res.ok
+    assert res.witness == "forward map failed on %s: boom" % (last,)
+
+
 def test_check_compatibility_pass(r22):
     res = verify.check_compatibility(r22, (2, 1))
     assert res.ok
     assert res.counts["tableaux"] == 20
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 1)], ids=["typical", "atypical"])
+def test_check_compatibility_fails_when_typicality_is_flipped(r22, monkeypatch, shape):
+    # the embedding is onto exactly for typical weights; lie about one weight
+    flipped = base.hook_weight(r22, shape)
+    assert verify.check_compatibility(r22, shape).ok
+    is_typical = base.is_typical
+    monkeypatch.setattr(base, "is_typical", lambda lam: is_typical(lam) != (lam == flipped))
+    res = verify.check_compatibility(r22, shape)
+    assert not res.ok
+    assert "typical but the image holds" in res.witness
 
 
 def test_check_reading_order_pass(r22):
