@@ -156,18 +156,6 @@ class Weight:
             us[j] >= us[j + 1] for j in range(self.rank.n - 1)
         )
 
-    def in_hook_cone(self):
-        """Dominant weights whose unbarred part conjugates under the barred."""
-        if not self.is_dominant():
-            return False
-        m, n = self.rank
-        us = self.coords[m:]
-        if us[-1] < 0:
-            return False
-        nu = conjugate(us)
-        b1 = self.coords[m - 1]
-        return b1 >= (nu[0] if nu else 0)
-
 
 def eps_barred(rank, i):
     coords = [0] * (rank.m + rank.n)
@@ -298,20 +286,3 @@ def hook_weight(rank, mu):
     nup = conjugate(nu)
     unbarred = tuple(nup[j] if j < len(nup) else 0 for j in range(n))
     return Weight(rank, barred + unbarred)
-
-
-def hook_partition(lam):
-    """Inverse of hook_weight; requires lam in the hook cone."""
-    if not lam.in_hook_cone():
-        raise NotDominant("%s is not in the hook cone" % lam)
-    m, n = lam.rank
-    barred = lam.coords[:m]
-    nu = conjugate(lam.coords[m:])
-    return normalize_partition(barred + nu)
-
-
-def parse_partition(text):
-    text = text.strip()
-    if not text:
-        return ()
-    return normalize_partition(tuple(int(x) for x in text.split(",")))

@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from . import base, tableaux, wordops
-from .errors import MalformedElement, NotDominant, SizeCapExceeded
+from .errors import MalformedElement, NotDominant, PreconditionViolated, SizeCapExceeded
 
 # orders on the odd negative roots, as sort keys on the pairs (i, j)
 PREC = "prec"          # by j, then by i
@@ -330,21 +330,52 @@ def dual_ell(lam):
 
 
 def _dual_factors(lam, ell):
+    """Factor shapes of the dual model: the ell^m rectangle, the inner shape
+    mu = ell + barred part, and the T- shape.
+
+    This is the window of the insertion map too: outside it raises
+    PreconditionViolated.
+    """
     rank = lam.rank
     m, n = rank
     bs = lam.coords[:m]
     us = lam.coords[m:]
     if bs[0] > 0 or us[n - 1] < 0:
-        raise NotDominant(
+        raise PreconditionViolated(
             "dual model needs nonpositive barred and nonnegative unbarred parts"
         )
     if ell + bs[m - 1] < 0:
-        raise NotDominant(
+        raise PreconditionViolated(
             "dual model needs ell at least -b1 = %d, got ell = %d" % (-bs[m - 1], ell)
         )
     mu = base.normalize_partition(tuple(ell + b for b in bs))
     shape_minus = base.conjugate(us)
     return (ell,) * m, mu, shape_minus
+
+
+def _filling_count(alphabet, rank, outer, inner=()):
+    """Number of fillings a factor table of these arguments holds, by the
+    Weyl dimension formula, without enumerating them.
+
+    A T+ filling is a semistandard tableau of outer in m letters.  A T-
+    filling (strict along rows) is the transpose of one of the conjugate
+    shape in n letters.  A barred-dual filling of the ell^m rectangle minus
+    inner, turned by half a turn, is one of (ell - inner_m, .., ell -
+    inner_1) in m letters.
+    """
+    if alphabet == base.ALPHABET_BMINUS:
+        parts, size = base.conjugate(outer), rank.n
+    elif alphabet == base.ALPHABET_BDUAL:
+        inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+        parts, size = tuple(map(operator.sub, outer, inner))[::-1], rank.m
+    else:
+        parts, size = outer, rank.m
+    parts = tuple(parts) + (0,) * (size - len(parts))
+    num = den = 1
+    for i, j in itertools.combinations(range(size), 2):
+        num *= parts[i] - parts[j] + j - i
+        den *= j - i
+    return num // den
 
 
 class CrystalGraph:
@@ -385,6 +416,17 @@ class CrystalGraph:
             for k, d in zip(ks, ds)
             if d is not None
         ]
+
+    def vertex_id(self, elem):
+        """The id of a Kac crystal element, the inverse of element; None
+        when its T+ alphabet or the rows of T+ or T- are not in the tables."""
+        if elem.t_plus.alphabet != self.plus_table.alphabet:
+            return None
+        pi = self.plus_table.index.get(elem.t_plus.rows)
+        vi = self.minus_table.index.get(elem.t_minus.rows)
+        if pi is None or vi is None:
+            return None
+        return (elem.s.mask() * self._nplus + pi) * self._nminus + vi
 
     def _triple(self, vid):
         sp, vi = divmod(vid, self._nminus)
@@ -536,18 +578,20 @@ def generate_graph(lam, cap=DEFAULT_CAP, model=MODEL_STANDARD, ell=None):
         if ell is not None:
             raise ValueError("ell applies only to the dual model")
         shape_plus, shape_minus, offset = _standard_factors(lam)
-        pt = factor_table(base.ALPHABET_BPLUS, rank, shape_plus)
-        vt = factor_table(base.ALPHABET_BMINUS, rank, shape_minus)
+        plus = (base.ALPHABET_BPLUS, rank, shape_plus)
     elif model == MODEL_DUAL:
         if ell is None:
             ell = dual_ell(lam)
         outer, mu, shape_minus = _dual_factors(lam, ell)
-        pt = factor_table(base.ALPHABET_BDUAL, rank, outer, mu)
-        vt = factor_table(base.ALPHABET_BMINUS, rank, shape_minus)
+        plus = (base.ALPHABET_BDUAL, rank, outer, mu)
         offset = base.Weight.zero(rank)
     else:
         raise ValueError("unknown model %r" % (model,))
-    cardinality = (1 << (rank.m * rank.n)) * len(pt.elements) * len(vt.elements)
+    minus = (base.ALPHABET_BMINUS, rank, shape_minus)
+    # counted before any table is built, so an over-cap graph fails at once
+    cardinality = (1 << (rank.m * rank.n)) * _filling_count(*plus) * _filling_count(*minus)
     if cardinality > cap:
         raise SizeCapExceeded(cardinality, cap)
-    return CrystalGraph(rank, lam, model, odd_table(rank), pt, vt, offset)
+    return CrystalGraph(
+        rank, lam, model, odd_table(rank), factor_table(*plus), factor_table(*minus), offset
+    )

@@ -15,7 +15,7 @@ rule, and color 0 follows a right-to-left column scan of the aligned pair
 from dataclasses import dataclass
 
 from . import base, kac, tableaux, wordops
-from .errors import InsertionOverflow, KacCrystalError, PreconditionViolated
+from .errors import InsertionOverflow, KacCrystalError
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,6 @@ class KappaElement:
     @property
     def ell(self):
         return self.p.ncols
-
-    @property
-    def eta(self):
-        return self.p.inner
-
-    @property
-    def mu(self):
-        return self.q.outer
 
     def key(self):
         return (self.p.inner, self.p.rows, self.q.rows, self.v.rows)
@@ -53,24 +45,6 @@ class KappaElement:
             "Q": self.q.to_json(),
             "V": self.v.to_json(),
         }
-
-
-def check_window(lam, ell):
-    """Domain window of the insertion bijection (closed version).
-
-    The barred part must be nonpositive, the unbarred part nonnegative, and
-    the rectangle wide enough that mu = ell + barred part is a partition of
-    nonnegative parts.
-    """
-    rank = lam.rank
-    bs = lam.coords[: rank.m]
-    us = lam.coords[rank.m:]
-    if bs[0] > 0:
-        raise PreconditionViolated("barred part of %s has positive entries" % lam)
-    if us[-1] < 0:
-        raise PreconditionViolated("unbarred part of %s has negative entries" % lam)
-    if ell + bs[rank.m - 1] < 0:
-        raise PreconditionViolated("rectangle width %d too small for %s" % (ell, lam))
 
 
 def rho(elem):
@@ -185,7 +159,8 @@ def apply_kappa(k, direction, kelem):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive domain and image enumeration (small ranks)
+# exhaustive image enumeration (small ranks); the domain is the vertex set
+# of the dual-model graph, kac.generate_graph(lam, model=kac.MODEL_DUAL)
 
 
 def _subpartitions(mu):
@@ -208,37 +183,18 @@ def _subpartitions(mu):
     return [base.normalize_partition(p) for p in out]
 
 
-def enumerate_domain(lam, ell):
-    """All (S, U, V) for a weight in the window, as Kac crystal elements."""
-    rank = lam.rank
-    check_window(lam, ell)
-    m, n = rank
-    mu = tuple(ell + b for b in lam.coords[:m])
-    nu = base.conjugate(lam.coords[m:])
-    us = tableaux.enumerate_sst(base.ALPHABET_BDUAL, rank, (ell,) * m, mu)
-    vs = tableaux.enumerate_sst(base.ALPHABET_BMINUS, rank, nu)
-    out = []
-    for mask in range(1 << (m * n)):
-        s = kac.OddRootSet.from_mask(rank, mask)
-        for u in us:
-            for v in vs:
-                out.append(kac.KacElement(rank, s, u, v))
-    return out
-
-
 def enumerate_image(lam, ell):
     """All (P, Q, V) with sh(P) = rect/eta, sh(Q) = mu/eta, eta inside mu."""
     rank = lam.rank
-    check_window(lam, ell)
-    m = rank.m
-    mu = tuple(ell + b for b in lam.coords[:m])
-    nu = base.conjugate(lam.coords[m:])
+    rect, mu, nu = kac._dual_factors(lam, ell)
+    # Q's outer shape keeps m rows, as rho builds it
+    mu = mu + (0,) * (rank.m - len(mu))
     vs = tableaux.enumerate_sst(base.ALPHABET_BMINUS, rank, nu)
     out = []
     for eta in _subpartitions(mu):
         ps = [
             tableaux.Tableau(p.alphabet, p.outer, p.inner, p.rows, True)
-            for p in tableaux.enumerate_sst(base.ALPHABET_BDUAL, rank, (ell,) * m, eta)
+            for p in tableaux.enumerate_sst(base.ALPHABET_BDUAL, rank, rect, eta)
         ]
         qs = [
             tableaux.Tableau(q.alphabet, q.outer, q.inner, q.rows, True)

@@ -181,28 +181,31 @@ def check_character(g):
 @_timed
 def check_rho_commutation(lam, ell=None):
     """Exhaustive round-trip, bijectivity and intertwining of the insertion
-    map on the full domain of a weight in the window.
+    map on the dual-model crystal graph of a weight in the window.
 
-    rho runs once per domain element, directly on that element.  Domain
-    elements and target images are numbered by key, so the intertwining
-    target rho(f(b)) of an operator step b -> f(b) is read as a number once
-    every element has its image.
+    rho runs once per vertex, directly on its element.  Each Kac step
+    b -> f(b) is read from the graph's move lists as a vertex id, so the
+    intertwining target rho(f(b)) is compared by number once every vertex
+    has its image.
     """
     def bad(witness):
         return CheckResult("rho", False, witness)
 
-    rank = lam.rank
     if ell is None:
         ell = kac.dual_ell(lam)
-    domain = rsk.enumerate_domain(lam, ell)
-    number = {b.key(): i for i, b in enumerate(domain)}
+    g = kac.generate_graph(lam, model=kac.MODEL_DUAL, ell=ell)
     targets = {k.key(): i for i, k in enumerate(rsk.enumerate_image(lam, ell))}
-    image = [None] * len(domain)  # image[i]: target number of rho(domain[i])
+    image = [None] * len(g.vertices)  # image[v]: target number of rho(element v)
     seen = set()
-    # (i, k, direction, number of f(b), target number of f(rho(b))) per step
+    moves = [
+        (k, direction, g.moves(k, direction))
+        for k in base.colors(lam.rank)
+        for direction in (wordops.RAISE, wordops.LOWER)
+    ]
+    # (v, k, direction, id of f(b), target number of f(rho(b))) per step
     steps = []
-    ks = base.colors(rank)
-    for i, b in enumerate(domain):
+    for v in g.vertices:
+        b = g.element(v)
         try:
             img = rsk.rho(b)
         except KacCrystalError as exc:
@@ -213,41 +216,36 @@ def check_rho_commutation(lam, ell=None):
         if t in seen:
             return bad("two elements share image %s" % (img.key(),))
         seen.add(t)
-        image[i] = t
+        image[v] = t
         if rsk.rho_inverse(img) != b:
             return bad("round trip failed at %s" % (b,))
         if img.weight() != b.weight():
             return bad("weight not preserved at %s" % (b,))
-        for k in ks:
-            for direction in (wordops.RAISE, wordops.LOWER):
-                lhs = kac.apply_kac(k, direction, b)
-                rhs = rsk.apply_kappa(k, direction, img)
-                if (lhs is None) != (rhs is None):
-                    return bad("null mismatch at color %d (%s) on %s" % (k, direction, b))
-                if lhs is not None:
-                    steps.append(
-                        (i, k, direction, number.get(lhs.key()), targets.get(rhs.key()))
-                    )
-    for i, k, direction, j, t in steps:
-        # an f(b) outside the domain has no image to compare with
-        if j is None or t is None or image[j] != t:
+        for k, direction, moved in moves:
+            rhs = rsk.apply_kappa(k, direction, img)
+            if (moved[v] is None) != (rhs is None):
+                return bad("null mismatch at color %d (%s) on %s" % (k, direction, b))
+            if rhs is not None:
+                steps.append((v, k, direction, moved[v], targets.get(rhs.key())))
+    for v, k, direction, w, t in steps:
+        if t is None or image[w] != t:
             return bad(
-                "intertwining fails at color %d (%s) on %s" % (k, direction, domain[i])
+                "intertwining fails at color %d (%s) on %s" % (k, direction, g.element(v))
             )
-    if len(domain) != len(targets):
-        return bad("image has %d elements, target %d" % (len(domain), len(targets)))
-    return CheckResult("rho", True, counts={"domain": len(domain)})
+    if len(g.vertices) != len(targets):
+        return bad("image has %d elements, target %d" % (len(g.vertices), len(targets)))
+    return CheckResult("rho", True, counts={"domain": len(g.vertices)})
 
 
 @_timed
 def check_compatibility(rank, shape, cap=kac.DEFAULT_CAP):
     """The hook tableau crystal embeds into its Kac crystal.
 
-    Checks injectivity, weight preservation, intertwining, the image size
-    against the brute-force filling count, the partial inverse, and that
-    the embedding is onto exactly when the weight is typical.  xi runs once
-    per tableau, directly on it; the intertwining targets xi(f(t)) are read
-    from those results.
+    Checks that every image is a vertex of the graph, injectivity, weight
+    preservation, the partial inverse, intertwining, and that the embedding
+    is onto exactly when the weight is typical.  xi runs once per tableau,
+    directly on it, and its result is numbered by vertex id; the
+    intertwining targets are read from the graph's move lists.
     """
     def bad(witness):
         return CheckResult("compatibility", False, witness)
@@ -255,55 +253,56 @@ def check_compatibility(rank, shape, cap=kac.DEFAULT_CAP):
     shape = base.normalize_partition(shape)
     lam = base.hook_weight(rank, shape)
     tabs = tableaux.enumerate_sst(base.ALPHABET_B, rank, shape)
-    embedded = {}  # t.rows -> xi(t)
-    image_keys = set()
-    ks = base.colors(rank)
+    g = kac.generate_graph(lam, cap=cap)
+    embedded = {}  # t.rows -> vertex id of xi(t)
+    image = set()
     for t in tabs:
         b = embedding.xi(rank, t)
+        v = g.vertex_id(b)
+        if v is None:
+            return bad("image of %s is not a vertex" % (t.rows,))
         if b.weight() != t.weight(rank):
             return bad("weight differs at %s" % (t.rows,))
-        key = b.key()
-        if key in image_keys:
-            return bad("two tableaux map to %s" % (key,))
-        image_keys.add(key)
-        embedded[t.rows] = b
+        if v in image:
+            return bad("two tableaux map to %s" % (b.key(),))
+        image.add(v)
+        embedded[t.rows] = v
         if embedding.pi_bar(rank, b) != t:
             return bad("partial inverse fails at %s" % (t.rows,))
-    g = kac.generate_graph(lam, cap=cap)
+    ks = base.colors(rank)
+    moves = {
+        (k, direction): g.moves(k, direction)
+        for k in ks
+        for direction in (wordops.RAISE, wordops.LOWER)
+    }
     for t in tabs:
-        b = embedded[t.rows]
+        v = embedded[t.rows]
         for k in ks:
             for direction in (wordops.RAISE, wordops.LOWER):
                 moved = wordops.tableau_apply(rank, k, direction, t)
                 if moved is None:
                     continue
-                target = kac.apply_kac(k, direction, b)
-                expected = embedded.get(moved.rows)
-                if target is None or expected is None or target.key() != expected.key():
+                target = moves[k, direction][v]
+                if target is None or target != embedded.get(moved.rows):
                     return bad(
                         "intertwining fails at color %d (%s) on %s" % (k, direction, t.rows)
                     )
-    hits = 0
-    for v in range(len(g.vertices)):
-        b = g.element(v)
-        back = embedding.pi_bar(rank, b)
-        if b.key() in image_keys:
-            hits += 1
+    for v in g.vertices:
+        back = embedding.pi_bar(rank, g.element(v))
+        if v in image:
             if back is None or back.rows not in embedded:
                 return bad("image element rejected at vertex %d" % v)
         elif back is not None:
             again = embedded.get(back.rows)
             if again is None:
-                again = embedding.xi(rank, back)
-            if again.key() != b.key():
+                again = g.vertex_id(embedding.xi(rank, back))
+            if again != v:
                 return bad("inverse leaves the image at vertex %d" % v)
-    if hits != len(tabs):
-        return bad("image size %d, filling count %d" % (hits, len(tabs)))
     typical = base.is_typical(lam)
-    if (hits == len(g.vertices)) != typical:
+    if (len(image) == len(g.vertices)) != typical:
         return bad(
             "%s is %s but the image holds %d of %d vertices"
-            % (lam, "typical" if typical else "atypical", hits, len(g.vertices))
+            % (lam, "typical" if typical else "atypical", len(image), len(g.vertices))
         )
     return CheckResult(
         "compatibility", True, counts={"tableaux": len(tabs), "vertices": len(g.vertices)}

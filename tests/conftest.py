@@ -19,6 +19,18 @@ def r33():
 
 
 @pytest.fixture
+def dual_domain():
+    """The domain of the insertion map at a window weight: the elements of
+    its dual-model graph, in vertex order."""
+
+    def domain(lam, ell=None):
+        g = kac.generate_graph(lam, model=kac.MODEL_DUAL, ell=ell)
+        return [g.element(v) for v in g.vertices]
+
+    return domain
+
+
+@pytest.fixture
 def worked_kac_element(r33):
     """Rank (3|3) element at weight 4,3,2|3,1,0 used in several checks."""
     s = kac.OddRootSet.of(r33, [(2, 1), (2, 2), (1, 3)])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kaccrystal import base, kac, tableaux, wordops
+from kaccrystal import base, kac, tableaux, verify, wordops
 from kaccrystal.errors import NotDominant, SizeCapExceeded
 
 
@@ -155,6 +155,56 @@ def test_size_cap(r22):
     assert exc.value.cap == 10
 
 
+def test_size_cap_fails_before_any_table_is_built(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("table built for an over-cap graph")
+
+    monkeypatch.setattr(kac, "factor_table", no_table)
+    monkeypatch.setattr(kac, "odd_table", no_table)
+    lam = base.Weight.parse(base.make_rank(5, 3), "8,6,4,2,0|2,1,0")
+    with pytest.raises(SizeCapExceeded) as exc:
+        kac.generate_graph(lam)
+    assert exc.value.cardinality > kac.DEFAULT_CAP
+
+
+def _table_args():
+    """The factor table arguments of every default-sweep class, and of the
+    dual model on window weights at dual_ell and one wider."""
+    args = set()
+    for lam in verify.default_instances():
+        shape_plus, shape_minus, _ = kac._standard_factors(lam)
+        args.add((base.ALPHABET_BPLUS, lam.rank, shape_plus))
+        args.add((base.ALPHABET_BMINUS, lam.rank, shape_minus))
+    for m, n in verify.DEFAULT_RANKS + ((2, 3),):
+        rank = base.make_rank(m, n)
+        for bs in verify.dominant_tuples(m, -2, 0):
+            for us in verify.dominant_tuples(n, 0, 2):
+                lam = base.Weight(rank, bs + us)
+                for ell in (kac.dual_ell(lam), kac.dual_ell(lam) + 1):
+                    outer, mu, shape_minus = kac._dual_factors(lam, ell)
+                    args.add((base.ALPHABET_BDUAL, rank, outer, mu))
+                    args.add((base.ALPHABET_BMINUS, rank, shape_minus))
+    return sorted(args, key=repr)
+
+
+def test_filling_count_matches_table_size():
+    args = _table_args()
+    assert {a[0] for a in args} == {
+        base.ALPHABET_BPLUS, base.ALPHABET_BMINUS, base.ALPHABET_BDUAL
+    }
+    wrong = [a for a in args if kac._filling_count(*a) != len(kac.factor_table(*a).elements)]
+    assert not wrong
+
+
+def test_vertex_id_inverts_element(r22):
+    g = kac.generate_graph(base.Weight.parse(r22, "1,0|1,0"))
+    assert [g.vertex_id(g.element(v)) for v in g.vertices] == list(g.vertices)
+    other = kac.generate_graph(base.Weight.parse(r22, "2,0|1,0"))
+    assert g.vertex_id(other.element(len(other.vertices) - 1)) is None
+    dual = kac.generate_graph(base.Weight.parse(r22, "0,-1|1,0"), model=kac.MODEL_DUAL)
+    assert g.vertex_id(dual.element(0)) is None
+
+
 def test_dual_ell(r22):
     # rectangle must leave room for n recording cells per inner row
     assert kac.dual_ell(base.Weight.parse(r22, "0,0|0,0")) == 2
@@ -180,21 +230,24 @@ def test_json_chunks_match_to_json(model, m, n, text):
 
 
 @pytest.mark.parametrize(
-    "model,m,n,text",
+    "model,m,n,text,ell",
     [
-        pytest.param(kac.MODEL_STANDARD, 2, 2, "1,0|1,0", id="2-2-1,0|1,0"),
-        pytest.param(kac.MODEL_STANDARD, 3, 2, "1,0,-1|1,0", id="3-2-1,0,-1|1,0"),
-        pytest.param(kac.MODEL_STANDARD, 2, 3, "1,0|1,0,-1", id="2-3-1,0|1,0,-1"),
-        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,1|2,2", id="3-2-2,2,1|2,2"),
-        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,2|2,1", id="3-2-2,2,2|2,1"),
-        pytest.param(kac.MODEL_DUAL, 2, 2, "-1,-2|2,1", id="dual-2-2--1,-2|2,1"),
-        pytest.param(kac.MODEL_DUAL, 3, 2, "0,-1,-1|1,0", id="dual-3-2-0,-1,-1|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 2, 2, "1,0|1,0", None, id="2-2-1,0|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "1,0,-1|1,0", None, id="3-2-1,0,-1|1,0"),
+        pytest.param(kac.MODEL_STANDARD, 2, 3, "1,0|1,0,-1", None, id="2-3-1,0|1,0,-1"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,1|2,2", None, id="3-2-2,2,1|2,2"),
+        pytest.param(kac.MODEL_STANDARD, 3, 2, "2,2,2|2,1", None, id="3-2-2,2,2|2,1"),
+        pytest.param(kac.MODEL_DUAL, 2, 2, "-1,-2|2,1", None, id="dual-2-2--1,-2|2,1"),
+        pytest.param(kac.MODEL_DUAL, 3, 2, "0,-1,-1|1,0", None, id="dual-3-2-0,-1,-1|1,0"),
+        pytest.param(kac.MODEL_DUAL, 2, 3, "0,-1|2,1,0", None, id="dual-2-3-0,-1|2,1,0"),
+        # one wider than dual_ell = 3
+        pytest.param(kac.MODEL_DUAL, 2, 2, "0,-1|1,0", 4, id="dual-2-2-0,-1|1,0-ell-4"),
     ],
 )
-def test_graph_edges_match_apply_kac(model, m, n, text):
+def test_graph_edges_match_apply_kac(model, m, n, text, ell):
     # element-level operators and weights against the table-driven graph engine
     rank = base.make_rank(m, n)
-    g = kac.generate_graph(base.Weight.parse(rank, text), model=model)
+    g = kac.generate_graph(base.Weight.parse(rank, text), model=model, ell=ell)
     index = {g.element(v).key(): v for v in g.vertices}
     lowered = {(src, k): dst for src, k, dst in g.edges}
     raised = {(dst, k): src for src, k, dst in g.edges}

@@ -18,13 +18,14 @@ def _dual_element(rank, lam, ell, pairs, u_rows, v_rows, v_outer):
 
 
 def test_check_window(r22):
-    rsk.check_window(base.Weight.parse(r22, "0,-1|1,0"), 2)
+    # the dual model's factor shapes are the one window rule of the insertion map
+    kac._dual_factors(base.Weight.parse(r22, "0,-1|1,0"), 2)
     with pytest.raises(PreconditionViolated):
-        rsk.check_window(base.Weight.parse(r22, "1,0|1,0"), 2)
+        kac._dual_factors(base.Weight.parse(r22, "1,0|1,0"), 2)
     with pytest.raises(PreconditionViolated):
-        rsk.check_window(base.Weight.parse(r22, "0,-1|0,-1"), 2)
+        kac._dual_factors(base.Weight.parse(r22, "0,-1|0,-1"), 2)
     with pytest.raises(PreconditionViolated):
-        rsk.check_window(base.Weight.parse(r22, "0,-3|1,0"), 2)
+        kac._dual_factors(base.Weight.parse(r22, "0,-3|1,0"), 2)
 
 
 def test_rho_empty_root_set(r11):
@@ -47,18 +48,17 @@ def test_rho_single_root(r11):
     assert rsk.rho_inverse(out) == b
 
 
-def test_rho_weight_preserved_worked_weight(r22):
+def test_rho_weight_preserved_worked_weight(r22, dual_domain):
     lam = base.Weight.parse(r22, "-1,-2|2,1")
-    ell = kac.dual_ell(lam)
-    for b in rsk.enumerate_domain(lam, ell)[:50]:
+    for b in dual_domain(lam)[:50]:
         img = rsk.rho(b)
         assert img.weight() == b.weight()
 
 
-def test_rho_round_trip_exhaustive_small(r11):
+def test_rho_round_trip_exhaustive_small(r11, dual_domain):
     lam = base.Weight.parse(r11, "-1|1")
     ell = kac.dual_ell(lam)
-    domain = rsk.enumerate_domain(lam, ell)
+    domain = dual_domain(lam, ell)
     image_keys = set(k.key() for k in rsk.enumerate_image(lam, ell))
     seen = set()
     for b in domain:
@@ -70,11 +70,10 @@ def test_rho_round_trip_exhaustive_small(r11):
     assert seen == image_keys
 
 
-def test_rho_inverse_undo_order(r22):
+def test_rho_inverse_undo_order(r22, dual_domain):
     # two equal records: the rightmost column is undone first
     lam = base.Weight.parse(r22, "0,-2|1,1")
-    ell = kac.dual_ell(lam)
-    domain = rsk.enumerate_domain(lam, ell)
+    domain = dual_domain(lam)
     with_pair = [
         b for b in domain if b.s.roots == frozenset({(1, 1), (2, 1)})
     ]
@@ -111,10 +110,9 @@ def test_apply_kappa_reciprocity_exhaustive(r11):
                 assert rsk.apply_kappa(k, wordops.LOWER, up).key() == img.key()
 
 
-def test_rho_intertwines_operators_small(r22):
+def test_rho_intertwines_operators_small(r22, dual_domain):
     lam = base.Weight.parse(r22, "0,-1|1,1")
-    ell = kac.dual_ell(lam)
-    for b in rsk.enumerate_domain(lam, ell):
+    for b in dual_domain(lam):
         img = rsk.rho(b)
         for k in base.colors(r22):
             for direction in (wordops.RAISE, wordops.LOWER):
@@ -139,11 +137,11 @@ def test_subpartitions():
     assert rsk._subpartitions(()) == [()]
 
 
-def test_enumerate_domain_and_image_sizes_match(r22):
+def test_enumerate_domain_and_image_sizes_match(r22, dual_domain):
     # the bijection forces equal cardinalities; check the raw enumerations
     lam = base.Weight.parse(r22, "0,-1|1,1")
     ell = kac.dual_ell(lam)
-    domain = rsk.enumerate_domain(lam, ell)
+    domain = dual_domain(lam, ell)
     image = rsk.enumerate_image(lam, ell)
     assert len(domain) == len(image)
     assert len(set(b.key() for b in domain)) == len(domain)

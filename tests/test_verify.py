@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from kaccrystal import base, cli, kac, rsk, verify
+from kaccrystal import base, cli, embedding, kac, rsk, tableaux, verify
 from kaccrystal.errors import KacCrystalError
 
 
@@ -194,11 +194,13 @@ def test_check_rho_commutation_detects_broken_zero_rule(r11, monkeypatch):
     assert res.witness is not None
 
 
-def test_check_rho_commutation_reports_a_forward_failure_on_a_neighbour(monkeypatch):
+def test_check_rho_commutation_reports_a_forward_failure_on_a_neighbour(
+    monkeypatch, dual_domain
+):
     # rho fails only on the last domain element, which earlier elements
     # reach by an operator before the check visits it
     lam = base.Weight.parse(base.make_rank(2, 2), "0,-1|1,0")
-    last = rsk.enumerate_domain(lam, kac.dual_ell(lam))[-1]
+    last = dual_domain(lam)[-1]
     rho = rsk.rho
 
     def failing(elem):
@@ -228,6 +230,56 @@ def test_check_compatibility_fails_when_typicality_is_flipped(r22, monkeypatch, 
     res = verify.check_compatibility(r22, shape)
     assert not res.ok
     assert "typical but the image holds" in res.witness
+
+
+def _hook_tableaux(rank, shape):
+    return tableaux.enumerate_sst(base.ALPHABET_B, rank, shape)
+
+
+def test_check_compatibility_detects_two_swapped_images(r22, monkeypatch):
+    # xi and pi_bar trade the images of two tableaux of one weight: a
+    # weight-preserving bijection with a consistent inverse that is not a
+    # crystal morphism
+    shape = (2, 1)
+    by_weight = {}
+    for t in _hook_tableaux(r22, shape):
+        by_weight.setdefault(t.weight(r22), []).append(t)
+    a, b = next(ts[:2] for ts in by_weight.values() if len(ts) > 1)
+    xi, pi_bar = embedding.xi, embedding.pi_bar
+    swap_t = {a: b, b: a}
+    swap_b = {xi(r22, a): xi(r22, b), xi(r22, b): xi(r22, a)}
+    monkeypatch.setattr(embedding, "xi", lambda rank, t: xi(rank, swap_t.get(t, t)))
+    monkeypatch.setattr(embedding, "pi_bar", lambda rank, e: pi_bar(rank, swap_b.get(e, e)))
+    res = verify.check_compatibility(r22, shape)
+    assert not res.ok
+    assert res.witness.startswith("intertwining fails at color ")
+
+
+def test_check_compatibility_detects_a_rejected_image(r22, monkeypatch):
+    shape = (2, 1)
+    t = _hook_tableaux(r22, shape)[5]
+    rejected = embedding.xi(r22, t)
+    pi_bar = embedding.pi_bar
+    monkeypatch.setattr(
+        embedding, "pi_bar", lambda rank, e: None if e == rejected else pi_bar(rank, e)
+    )
+    res = verify.check_compatibility(r22, shape)
+    assert not res.ok
+    assert res.witness == "partial inverse fails at %s" % (t.rows,)
+
+
+def test_check_compatibility_detects_an_image_outside_the_graph(r22, monkeypatch):
+    # xi sends one tableau to an element of another shape
+    shape = (2, 1)
+    t = _hook_tableaux(r22, shape)[5]
+    elsewhere = _hook_tableaux(r22, (2, 2))[0]
+    xi = embedding.xi
+    monkeypatch.setattr(
+        embedding, "xi", lambda rank, s: xi(rank, elsewhere if s == t else s)
+    )
+    res = verify.check_compatibility(r22, shape)
+    assert not res.ok
+    assert res.witness == "image of %s is not a vertex" % (t.rows,)
 
 
 def test_check_reading_order_pass(r22):
