@@ -137,18 +137,6 @@ class Weight:
     def scale(self, c):
         return Weight(self.rank, tuple(c * a for a in self.coords))
 
-    def bilinear(self, other):
-        """Supersymmetric form: +1 on barred coordinates, -1 on unbarred."""
-        m = self.rank.m
-        s = sum(a * b for a, b in zip(self.coords[:m], other.coords[:m]))
-        s -= sum(a * b for a, b in zip(self.coords[m:], other.coords[m:]))
-        return s
-
-    def coroot_pairing(self, k):
-        """Pairing with the coroot of color k."""
-        sign = 1 if k <= 0 else -1
-        return sign * simple_root(self.rank, k).bilinear(self)
-
     def is_dominant(self):
         m = self.rank.m
         bs, us = self.coords[:m], self.coords[m:]

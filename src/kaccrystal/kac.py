@@ -492,7 +492,7 @@ class CrystalGraph:
 
     def source_vertices(self):
         """Vertices killed by every raising operator (no incoming edge)."""
-        indeg = set(dst for _, _, dst in self.edges)
+        indeg = set(map(operator.itemgetter(2), self.edges))
         return [v for v in self.vertices if v not in indeg]
 
     def to_json(self):

@@ -56,6 +56,10 @@ def check_axioms(g):
     k-edges) and up (the graph's raising move list at k) invert each
     other, every k-edge lowers the weight by alpha_k, color 0 never lowers
     twice, and phi_k - eps_k = <h_k, wt> on the even colors.
+
+    Distinct weights are numbered once (wn[v] for vertex v).  Per color,
+    below[n] numbers weight n - alpha_k (-1 if absent) and pairing[n] =
+    alpha_k . weight n = <h_k, weight n>: a weight step is one comparison.
     """
     def bad(witness):
         return CheckResult("axioms", False, witness)
@@ -65,13 +69,17 @@ def check_axioms(g):
     for src, k, dst in g.edges:
         if not (0 <= src < nv and 0 <= dst < nv):
             return bad("edge (%d, %d, %d) leaves the vertex set" % (src, k, dst))
-        if down[k][src] is not None:
+        dk = down[k]
+        if dk[src] is not None:
             return bad("two %d-edges out of vertex %d" % (k, src))
-        down[k][src] = dst
-    wts = list(map(g.weight_coords, g.vertices))
+        dk[src] = dst
+    number = {}
+    wn = [number.setdefault(w, len(number)) for w in map(g.weight_coords, g.vertices)]
     sub, mul = operator.sub, operator.mul
     for k, dn in down.items():
         root = base.simple_root(g.rank, k).coords
+        below = [number.get(tuple(map(sub, w, root)), -1) for w in number]
+        pairing = [sum(map(mul, root, w)) for w in number]
         up = g.moves(k, wordops.RAISE)
         for v, (u, d) in enumerate(zip(up, dn)):
             if u is not None and dn[u] != v:
@@ -79,13 +87,13 @@ def check_axioms(g):
             if d is not None:
                 if up[d] != v:
                     return bad("raising at color %d from vertex %d not reciprocal" % (k, d))
-                if wts[d] != tuple(map(sub, wts[v], root)):
+                if wn[d] != below[wn[v]]:
                     return bad("weight step wrong on edge (%d, %d, %d)" % (v, k, d))
                 if k == 0 and dn[d] is not None:
                     return bad("color 0 applied twice at vertex %d" % v)
             if k != 0 and u is None:
                 # a string head (eps = 0) has exactly <h_k, wt> k-edges below it
-                w, left = v, sum(map(mul, root, wts[v]))
+                w, left = v, pairing[wn[v]]
                 while left > 0 and w is not None:
                     w, left = dn[w], left - 1
                 if left or w is None or dn[w] is not None:
@@ -98,11 +106,15 @@ def check_connected(g):
     """Single component plus a census of raising-killed vertices.
 
     Exactly one source may carry the generating weight; sources at other
-    weights exist and are reported, not rejected.
+    weights exist and are reported, not rejected.  An edge endpoint outside
+    the vertex set fails the check.
     """
     nv = len(g.vertices)
     adj = [[] for _ in range(nv)]
-    for src, _, dst in g.edges:
+    for src, k, dst in g.edges:
+        if not (0 <= src < nv and 0 <= dst < nv):
+            witness = "edge (%d, %d, %d) leaves the vertex set" % (src, k, dst)
+            return CheckResult("connected", False, witness)
         adj[src].append(dst)
         adj[dst].append(src)
     seen = [False] * nv
@@ -146,8 +158,9 @@ def check_connected(g):
 def check_character(g):
     """Vertex count and weight multiset against the factored oracle.
 
-    The oracle multiplies the root power set with both tableau factors,
-    whose fillings are enumerated directly, never through the operators.
+    The oracle multiplies the weight multisets of the offset, the root power
+    set and both tableau factors, whose fillings are enumerated directly,
+    never through the operators.
     """
     expected = (
         (1 << (g.rank.m * g.rank.n))
@@ -160,16 +173,15 @@ def check_character(g):
             False,
             "vertex count %d, expected %d" % (len(g.vertices), expected),
         )
-    off = g.offset.coords
-    oracle = Counter()
-    partial = Counter()
-    for ws in g.s_table.weights:
-        for wp in g.plus_table.weights:
-            partial[tuple(a + b for a, b in zip(ws, wp))] += 1
-    for key, mult in partial.items():
-        for wv in g.minus_table.weights:
-            oracle[tuple(a + b + c for a, b, c in zip(key, wv, off))] += mult
-    got = Counter(g.weight_coords(v) for v in range(len(g.vertices)))
+    add = operator.add
+    oracle = Counter([g.offset.coords])
+    for table in (g.s_table, g.plus_table, g.minus_table):
+        terms, factor = oracle.items(), Counter(table.weights).items()
+        oracle = Counter()
+        for x, a in terms:
+            for y, b in factor:
+                oracle[tuple(map(add, x, y))] += a * b
+    got = Counter(map(g.weight_coords, g.vertices))
     if got != oracle:
         diff = next(iter((got - oracle) + (oracle - got)))
         return CheckResult(
@@ -245,7 +257,8 @@ def check_compatibility(rank, shape, cap=kac.DEFAULT_CAP):
     preservation, the partial inverse, intertwining, and that the embedding
     is onto exactly when the weight is typical.  xi runs once per tableau,
     directly on it, and its result is numbered by vertex id; the
-    intertwining targets are read from the graph's move lists.
+    intertwining targets are read from the graph's move lists.  pi_bar runs
+    once per vertex, on the tableau's image for a vertex in the image.
     """
     def bad(witness):
         return CheckResult("compatibility", False, witness)
@@ -288,11 +301,10 @@ def check_compatibility(rank, shape, cap=kac.DEFAULT_CAP):
                         "intertwining fails at color %d (%s) on %s" % (k, direction, t.rows)
                     )
     for v in g.vertices:
-        back = embedding.pi_bar(rank, g.element(v))
         if v in image:
-            if back is None or back.rows not in embedded:
-                return bad("image element rejected at vertex %d" % v)
-        elif back is not None:
+            continue  # pi_bar(xi(t)) == t was checked above
+        back = embedding.pi_bar(rank, g.element(v))
+        if back is not None:
             again = embedded.get(back.rows)
             if again is None:
                 again = g.vertex_id(embedding.xi(rank, back))

@@ -1,8 +1,11 @@
 """Acceptance gate: one test per acceptance criterion, one printed line each.
 
-The graph sweep (criteria 3-5) runs once via a module-scoped fixture.
+The graph sweep (criteria 3-5 and the pinned report digest) runs once via a
+module-scoped fixture.
 """
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -163,6 +166,24 @@ def test_criterion_5_character_identity(announce, sweep):
         if not chk["pass"]
     ]
     announce(5, "character and dimension identity", not bad)
+
+
+def test_default_sweep_report_is_pinned(sweep):
+    """The default verify report, timings aside, is byte-for-byte pinned.
+
+    Recipe: take the reports of run_sweep() with its defaults, drop the
+    "ms" key from every check, serialize with json.dumps(reports,
+    sort_keys=True) (default separators), and hash the UTF-8 bytes with
+    SHA-256.  The pin is the first 16 hex digits.  A change to any check
+    result, witness, count or class sharing in the default sweep moves it.
+    """
+    reports, _, _ = sweep
+    untimed = [
+        dict(report, checks=[{k: v for k, v in c.items() if k != "ms"} for c in report["checks"]])
+        for report in reports
+    ]
+    blob = json.dumps(untimed, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "520ab3d2f56280c7"
 
 
 def test_criterion_6_insertion_bijection(announce):

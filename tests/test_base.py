@@ -80,28 +80,12 @@ def test_weight_arithmetic(r22):
     assert a.scale(2).coords == (2, 4, 6, 8)
 
 
-def test_bilinear_form_signs(r22):
-    # + on barred coordinates, - on unbarred
-    e1 = base.eps_barred(r22, 1)
-    f1 = base.eps_unbarred(r22, 1)
-    assert e1.bilinear(e1) == 1
-    assert f1.bilinear(f1) == -1
-    assert e1.bilinear(f1) == 0
-
-
 def test_simple_roots(r22):
     assert base.simple_root(r22, 0).coords == (0, 1, -1, 0)
     assert base.simple_root(r22, -1).coords == (1, -1, 0, 0)
     assert base.simple_root(r22, 1).coords == (0, 0, 1, -1)
     with pytest.raises(ValueError):
         base.simple_root(r22, 2)
-
-
-def test_coroot_pairing_signs(r22):
-    # pairing of a simple root with its own coroot: 2 for even colors, 0 for 0
-    for k in (-1, 1):
-        assert base.simple_root(r22, k).coroot_pairing(k) == 2
-    assert base.simple_root(r22, 0).coroot_pairing(0) == 0
 
 
 def test_two_rho(r11, r22):

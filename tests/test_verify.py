@@ -83,23 +83,25 @@ def _bump_target_weight(g):
     g._weights[dst] = (w[0] + 1,) + w[1:]
 
 
-@pytest.mark.parametrize(
-    "tamper",
-    [
-        _retarget_edge,
-        _edge_leaving_the_graph,
-        _drop_edge,
-        _two_edges_into_one_vertex,
-        _zero_edge_from_zero_target,
-        _bump_target_weight,
-    ],
-)
+# each tamper of the graph of 1,0|1,0 at (2,2) and the first failure it
+# causes, in the check's order
+TAMPER_WITNESSES = {
+    _retarget_edge: "raising at color -1 from vertex 3 not reciprocal",
+    _edge_leaving_the_graph: "edge (0, -1, 64) leaves the vertex set",
+    _drop_edge: "phi - eps wrong at color -1 on the string from vertex 0",
+    _two_edges_into_one_vertex: "raising at color -1 from vertex 2 not reciprocal",
+    _zero_edge_from_zero_target: "color 0 applied twice at vertex 0",
+    _bump_target_weight: "weight step wrong on edge (0, -1, 2)",
+}
+
+
+@pytest.mark.parametrize("tamper", list(TAMPER_WITNESSES))
 def test_check_axioms_rejects_tampered_graph(tamper):
     g = _graph("1,0|1,0")
     tamper(g)
     res = verify.check_axioms(g)
     assert not res.ok
-    assert res.witness is not None
+    assert res.witness == TAMPER_WITNESSES[tamper]
 
 
 @pytest.mark.parametrize(
@@ -159,6 +161,25 @@ def test_check_connected_detects_split():
     res = verify.check_connected(g)
     assert not res.ok
     assert "components" in res.witness
+
+
+def test_check_connected_rejects_an_edge_past_the_last_vertex():
+    g = _graph("1,0|1,0")
+    _edge_leaving_the_graph(g)
+    res = verify.check_connected(g)
+    assert not res.ok
+    assert res.witness == "edge (0, -1, 64) leaves the vertex set"
+
+
+def test_check_connected_rejects_a_negative_endpoint():
+    # without the range check, vertex -1 would stand for the last vertex and
+    # join the split-off vertex 0 back to the rest
+    g = _graph("1,0|1,0")
+    g.edges = [e for e in g.edges if e[0] != 0 and e[2] != 0]
+    g.edges.append((0, 0, -1))
+    res = verify.check_connected(g)
+    assert not res.ok
+    assert res.witness == "edge (0, 0, -1) leaves the vertex set"
 
 
 def test_check_character_pass():
